@@ -15,9 +15,10 @@ Per normalized bench: a slowdown above --warn (default 10%) prints a
 warning; a slowdown above --fail (default 30%) on one of the
 SERVER-ONLINE HOT-LOOP benches (the per-request serving cost the whole
 compile-once design optimizes for: names containing 'ServerOnline')
-fails the gate with a nonzero exit. Cold paths only ever warn — CI
-runners are noisy, and the gate should catch real hot-loop regressions,
-not scheduler jitter on a 2 us NTT.
+fails the gate with a nonzero exit, as does one on the FSS key-dealing
+bench ('FssDeal', the server's per-session preprocessing). Cold paths
+only ever warn — CI runners are noisy, and the gate should catch real
+hot-loop regressions, not scheduler jitter on a 2 us NTT.
 
 A bench present in the baseline but MISSING from the fresh run is a
 hard failure regardless of hot/cold: silently dropping a deleted bench
@@ -43,8 +44,9 @@ import statistics
 import sys
 
 # Substrings naming the benches the gate may FAIL on (everything else is
-# warn-only). These are the per-request serving hot loops.
-HOT_LOOP_MARKERS = ("ServerOnline",)
+# warn-only). These are the per-request serving hot loops: the HE
+# server-online loops and the FSS dealing every kFss session runs.
+HOT_LOOP_MARKERS = ("ServerOnline", "FssDeal")
 
 # real_time normalization to nanoseconds.
 TIME_UNITS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -141,7 +143,7 @@ def main():
     for message in failures:
         print(f"FAILURE: {message}", file=sys.stderr)
     if failures:
-        print("perf gate: FAILED — a server-online hot loop regressed relative to "
+        print("perf gate: FAILED — a serving hot loop regressed relative to "
               "the rest of the suite, or a baselined bench is missing from the "
               "run; if the change is intentional, refresh "
               "bench/baseline/BENCH_micro.json (see --help)", file=sys.stderr)

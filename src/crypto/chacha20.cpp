@@ -43,16 +43,14 @@ void ChaCha20Prg::generate(std::uint8_t* dst, std::size_t nblocks) {
 }
 
 void ChaCha20Prg::refill() {
-    generate(buffer_, refill_blocks_);
-    buffer_len_ = refill_blocks_ * 64;
+    generate(buffer_, kRefillBlocks);
     buffer_pos_ = 0;
-    refill_blocks_ = std::min(refill_blocks_ * 2, kMaxRefillBlocks);
 }
 
 void ChaCha20Prg::fill_bytes(std::span<std::uint8_t> out) {
     std::size_t off = 0;
     while (off < out.size()) {
-        if (buffer_pos_ == buffer_len_) {
+        if (buffer_pos_ == sizeof(buffer_)) {
             // Whole blocks go straight to the destination, bypassing the
             // buffer (same keystream bytes, no copy).
             const std::size_t whole = (out.size() - off) / 64;
@@ -63,7 +61,7 @@ void ChaCha20Prg::fill_bytes(std::span<std::uint8_t> out) {
             }
             refill();
         }
-        const std::size_t take = std::min<std::size_t>(buffer_len_ - buffer_pos_, out.size() - off);
+        const std::size_t take = std::min(sizeof(buffer_) - buffer_pos_, out.size() - off);
         std::memcpy(out.data() + off, buffer_ + buffer_pos_, take);
         buffer_pos_ += take;
         off += take;

@@ -31,17 +31,12 @@ private:
     void refill();
 
     std::uint32_t state_[16] = {};
-    // Keystream cache, refilled through the batched (SIMD-dispatched)
-    // block kernel. The refill size doubles 1 -> 2 -> 4 -> 8 blocks so a
-    // short-lived PRG (e.g. one DCF GGM node = one block) computes no
-    // more than before, while long streams amortize into full-width
-    // batches. The byte stream itself is pure counter mode and identical
-    // regardless of batching.
-    static constexpr std::size_t kMaxRefillBlocks = 8;
-    std::uint8_t buffer_[kMaxRefillBlocks * 64] = {};
-    std::size_t buffer_len_ = 0;
-    std::size_t buffer_pos_ = 0;  // == buffer_len_: empty
-    std::size_t refill_blocks_ = 1;
+    // Keystream cache, refilled 8 blocks at a time through the batched
+    // (SIMD-dispatched) block kernel. The byte stream itself is pure
+    // counter mode and identical regardless of batching.
+    static constexpr std::size_t kRefillBlocks = 8;
+    std::uint8_t buffer_[kRefillBlocks * 64] = {};
+    std::size_t buffer_pos_ = sizeof(buffer_);  // == sizeof(buffer_): empty
 };
 
 }  // namespace c2pi::crypto

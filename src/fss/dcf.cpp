@@ -1,150 +1,26 @@
 #include "fss/dcf.hpp"
 
+#include <bit>
 #include <cstring>
+#include <vector>
 
 #include "core/error.hpp"
+#include "he/kernels.hpp"
 
 namespace c2pi::fss {
 
 namespace {
 
-/// Fixed PRG nonce for node expansion. Distinct from every nonce the
-/// repo derives elsewhere (party PRGs use nonce = party + 100, the
-/// client key PRG uses 3), so tree seeds never collide with another
-/// ChaCha20 stream even under equal keys.
-constexpr std::uint64_t kNodeNonce = 0xF55;
+using crypto::Block128;
 
-/// One GGM node expansion: a single ChaCha20 block (64 bytes) from the
-/// node seed yields left/right child seeds and left/right payload
-/// converts. The control bits ride as the lsb of each child seed and are
-/// masked off, leaving 127-bit effective seeds.
-struct NodeExpansion {
-    crypto::Block128 seed_l, seed_r;
-    DcfPayload value_l, value_r;
-    bool t_l, t_r;
-};
+// The kernel reads a Block128 array as its to_bytes layout.
+static_assert(std::endian::native == std::endian::little);
 
-NodeExpansion expand(const crypto::Block128& seed) {
-    crypto::ChaCha20Prg prg(seed, kNodeNonce);
-    std::uint8_t buf[64];
-    prg.fill_bytes(buf);
-    NodeExpansion e;
-    e.seed_l = crypto::Block128::from_bytes(buf);
-    const crypto::Block128 vl = crypto::Block128::from_bytes(buf + 16);
-    e.seed_r = crypto::Block128::from_bytes(buf + 32);
-    const crypto::Block128 vr = crypto::Block128::from_bytes(buf + 48);
-    e.t_l = (e.seed_l.lo & 1ULL) != 0;
-    e.t_r = (e.seed_r.lo & 1ULL) != 0;
-    e.seed_l.lo &= ~1ULL;
-    e.seed_r.lo &= ~1ULL;
-    e.value_l = {vl.lo, vl.hi};
-    e.value_r = {vr.lo, vr.hi};
-    return e;
-}
-
-/// Convert a final-level seed into the payload group (the same map the
-/// per-level payload converts use).
-DcfPayload convert(const crypto::Block128& s) { return {s.lo, s.hi}; }
-
-DcfPayload signed_by(bool negate, const DcfPayload& p) { return negate ? p.negated() : p; }
-
-}  // namespace
-
-DcfKeyPair dcf_gen(Ring alpha, const DcfPayload& beta, crypto::ChaCha20Prg& prg) {
-    DcfKeyPair kp;
-    crypto::Block128 s0 = prg.next_block();
-    crypto::Block128 s1 = prg.next_block();
-    kp.k0.root = s0;
-    kp.k1.root = s1;
-    bool t0 = false, t1 = true;
-    DcfPayload v_alpha{};  // running payload correction along the alpha path
-
-    for (int i = 0; i < kDomainBits; ++i) {
-        const bool alpha_bit = ((alpha >> (kDomainBits - 1 - i)) & 1ULL) != 0;
-        const NodeExpansion e0 = expand(s0);
-        const NodeExpansion e1 = expand(s1);
-        // Keep follows the alpha path; Lose is the sibling. When alpha's
-        // bit is 1 the lost (left) subtree lies entirely below alpha, so
-        // its correction must add beta.
-        const bool lose_is_left = alpha_bit;
-        const crypto::Block128& s_lose0 = lose_is_left ? e0.seed_l : e0.seed_r;
-        const crypto::Block128& s_lose1 = lose_is_left ? e1.seed_l : e1.seed_r;
-        const DcfPayload& v_lose0 = lose_is_left ? e0.value_l : e0.value_r;
-        const DcfPayload& v_lose1 = lose_is_left ? e1.value_l : e1.value_r;
-        const crypto::Block128& s_keep0 = lose_is_left ? e0.seed_r : e0.seed_l;
-        const crypto::Block128& s_keep1 = lose_is_left ? e1.seed_r : e1.seed_l;
-        const DcfPayload& v_keep0 = lose_is_left ? e0.value_r : e0.value_l;
-        const DcfPayload& v_keep1 = lose_is_left ? e1.value_r : e1.value_l;
-        const bool t_keep0 = lose_is_left ? e0.t_r : e0.t_l;
-        const bool t_keep1 = lose_is_left ? e1.t_r : e1.t_l;
-
-        const crypto::Block128 seed_cw = s_lose0 ^ s_lose1;
-        DcfPayload value_cw = signed_by(t1, v_lose1 - v_lose0 - v_alpha);
-        if (lose_is_left) value_cw += signed_by(t1, beta);
-        v_alpha = v_alpha - v_keep1 + v_keep0 + signed_by(t1, value_cw);
-
-        const bool t_cw_l = e0.t_l ^ e1.t_l ^ alpha_bit ^ true;
-        const bool t_cw_r = e0.t_r ^ e1.t_r ^ alpha_bit;
-        const bool t_cw_keep = lose_is_left ? t_cw_r : t_cw_l;
-
-        kp.k0.seed_cw[static_cast<std::size_t>(i)] = seed_cw;
-        kp.k1.seed_cw[static_cast<std::size_t>(i)] = seed_cw;
-        kp.k0.value_cw[static_cast<std::size_t>(i)] = value_cw;
-        kp.k1.value_cw[static_cast<std::size_t>(i)] = value_cw;
-        if (t_cw_l) {
-            kp.k0.t_cw_left |= 1ULL << i;
-            kp.k1.t_cw_left |= 1ULL << i;
-        }
-        if (t_cw_r) {
-            kp.k0.t_cw_right |= 1ULL << i;
-            kp.k1.t_cw_right |= 1ULL << i;
-        }
-
-        s0 = t0 ? (s_keep0 ^ seed_cw) : s_keep0;
-        s1 = t1 ? (s_keep1 ^ seed_cw) : s_keep1;
-        t0 = t_keep0 ^ (t0 && t_cw_keep);
-        t1 = t_keep1 ^ (t1 && t_cw_keep);
-    }
-
-    const DcfPayload final_cw = signed_by(t1, convert(s1) - convert(s0) - v_alpha);
-    kp.k0.final_cw = final_cw;
-    kp.k1.final_cw = final_cw;
-    return kp;
-}
-
-DcfPayload dcf_eval(const DcfKey& key, int party, Ring x) {
-    require(party == 0 || party == 1, "dcf_eval: party must be 0 or 1");
-    const bool negate = party == 1;
-    crypto::Block128 s = key.root;
-    bool t = party == 1;
-    DcfPayload out{};
-
-    for (int i = 0; i < kDomainBits; ++i) {
-        const bool x_bit = ((x >> (kDomainBits - 1 - i)) & 1ULL) != 0;
-        const NodeExpansion e = expand(s);
-        // Payload converts are taken RAW (pre-correction); only the child
-        // seeds and control bits absorb the correction word.
-        const DcfPayload& v_child = x_bit ? e.value_r : e.value_l;
-        out += signed_by(negate, t ? v_child + key.value_cw[static_cast<std::size_t>(i)]
-                                   : v_child);
-        crypto::Block128 s_child = x_bit ? e.seed_r : e.seed_l;
-        bool t_child = x_bit ? e.t_r : e.t_l;
-        if (t) {
-            s_child ^= key.seed_cw[static_cast<std::size_t>(i)];
-            const std::uint64_t t_cw = x_bit ? key.t_cw_right : key.t_cw_left;
-            t_child ^= ((t_cw >> i) & 1ULL) != 0;
-        }
-        s = s_child;
-        t = t_child;
-    }
-
-    out += signed_by(negate, t ? convert(s) + key.final_cw : convert(s));
-    return out;
-}
-
-// ------------------------------------------------------------------- codec ---
-
-namespace {
+constexpr std::size_t kSeedCwOffset = 16;
+constexpr std::size_t kValueCwOffset = kSeedCwOffset + kDomainBits * 16;
+constexpr std::size_t kTcwOffset = kValueCwOffset + kDomainBits * 16;
+constexpr std::size_t kFinalCwOffset = kTcwOffset + 16;
+static_assert(kFinalCwOffset + 16 == kDcfKeyBytes);
 
 void put_u64(std::uint8_t* out, std::uint64_t v) { std::memcpy(out, &v, 8); }
 std::uint64_t get_u64(const std::uint8_t* in) {
@@ -152,47 +28,156 @@ std::uint64_t get_u64(const std::uint8_t* in) {
     std::memcpy(&v, in, 8);
     return v;
 }
+void put_payload(std::uint8_t* out, const DcfPayload& p) {
+    put_u64(out, p.u);
+    put_u64(out + 8, p.v);
+}
+DcfPayload get_payload(const std::uint8_t* in) { return {get_u64(in), get_u64(in + 8)}; }
+
+/// One child of a GGM node expansion: half of the node's 64-byte block
+/// (left = bytes 0..31, right = 32..63) is the child seed followed by its
+/// payload convert. The control bit rides as the lsb of the child seed
+/// and is masked off, leaving 127-bit effective seeds.
+struct Child {
+    Block128 seed;
+    DcfPayload value;
+    bool t;
+};
+
+Child child(const std::uint8_t* block, bool right) {
+    const std::uint8_t* half = block + (right ? 32 : 0);
+    Child c;
+    c.seed = Block128::from_bytes(half);
+    const Block128 v = Block128::from_bytes(half + 16);
+    c.t = (c.seed.lo & 1ULL) != 0;
+    c.seed.lo &= ~1ULL;
+    c.value = {v.lo, v.hi};
+    return c;
+}
+
+/// Expand one tree level: blocks[64 i, 64 i + 64) = expansion of seeds[i].
+void expand_level(const std::vector<Block128>& seeds, std::vector<std::uint8_t>& blocks) {
+    he::kernels::active().chacha20_multikey(reinterpret_cast<const std::uint8_t*>(seeds.data()),
+                                            seeds.size(), kNodeNonce, blocks.data());
+}
+
+/// Convert a final-level seed into the payload group (the same map the
+/// per-level payload converts use).
+DcfPayload convert(const Block128& s) { return {s.lo, s.hi}; }
+
+DcfPayload signed_by(bool negate, const DcfPayload& p) { return negate ? p.negated() : p; }
+
+bool path_bit(Ring x, int level) { return ((x >> (kDomainBits - 1 - level)) & 1ULL) != 0; }
 
 }  // namespace
 
-void DcfKey::serialize_into(std::uint8_t* out) const {
-    root.to_bytes(out);
-    out += 16;
-    for (const auto& cw : seed_cw) {
-        cw.to_bytes(out);
-        out += 16;
+void dcf_gen_batch(std::span<const DcfGenJob> jobs) {
+    const std::size_t n = jobs.size();
+    // Both parties' seeds on each DCF's alpha path: seeds[2 j + p].
+    std::vector<Block128> seeds(2 * n);
+    std::vector<std::uint8_t> blocks(2 * n * 64);
+    struct Path {
+        DcfPayload v_alpha;  // running payload correction along the alpha path
+        bool t0 = false, t1 = true;
+        std::uint64_t t_cw_left = 0, t_cw_right = 0;
+    };
+    std::vector<Path> paths(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        for (int p = 0; p < 2; ++p) {
+            seeds[2 * j + static_cast<std::size_t>(p)] = jobs[j].root[p];
+            jobs[j].root[p].to_bytes(jobs[j].key[p]);
+        }
     }
-    for (const auto& cw : value_cw) {
-        put_u64(out, cw.u);
-        put_u64(out + 8, cw.v);
-        out += 16;
+
+    for (int i = 0; i < kDomainBits; ++i) {
+        expand_level(seeds, blocks);
+        for (std::size_t j = 0; j < n; ++j) {
+            const DcfGenJob& job = jobs[j];
+            Path& path = paths[j];
+            const bool alpha_bit = path_bit(job.alpha, i);
+            const std::uint8_t* block0 = blocks.data() + 128 * j;
+            const std::uint8_t* block1 = block0 + 64;
+            // Keep follows the alpha path; Lose is the sibling. When alpha's
+            // bit is 1 the lost (left) subtree lies entirely below alpha, so
+            // its correction must add beta.
+            const Child keep0 = child(block0, alpha_bit), keep1 = child(block1, alpha_bit);
+            const Child lose0 = child(block0, !alpha_bit), lose1 = child(block1, !alpha_bit);
+
+            const Block128 seed_cw = lose0.seed ^ lose1.seed;
+            DcfPayload value_cw = signed_by(path.t1, lose1.value - lose0.value - path.v_alpha);
+            if (alpha_bit) value_cw += signed_by(path.t1, job.beta);
+            path.v_alpha =
+                path.v_alpha - keep1.value + keep0.value + signed_by(path.t1, value_cw);
+
+            const bool t_cw_lose = lose0.t ^ lose1.t;
+            const bool t_cw_keep = keep0.t ^ keep1.t ^ true;
+            const bool t_cw_left = alpha_bit ? t_cw_lose : t_cw_keep;
+            const bool t_cw_right = alpha_bit ? t_cw_keep : t_cw_lose;
+            path.t_cw_left |= static_cast<std::uint64_t>(t_cw_left) << i;
+            path.t_cw_right |= static_cast<std::uint64_t>(t_cw_right) << i;
+
+            for (std::uint8_t* key : job.key) {
+                seed_cw.to_bytes(key + kSeedCwOffset + 16 * static_cast<std::size_t>(i));
+                put_payload(key + kValueCwOffset + 16 * static_cast<std::size_t>(i), value_cw);
+            }
+            seeds[2 * j] = path.t0 ? (keep0.seed ^ seed_cw) : keep0.seed;
+            seeds[2 * j + 1] = path.t1 ? (keep1.seed ^ seed_cw) : keep1.seed;
+            path.t0 = keep0.t ^ (path.t0 && t_cw_keep);
+            path.t1 = keep1.t ^ (path.t1 && t_cw_keep);
+        }
     }
-    put_u64(out, t_cw_left);
-    put_u64(out + 8, t_cw_right);
-    out += 16;
-    put_u64(out, final_cw.u);
-    put_u64(out + 8, final_cw.v);
+
+    for (std::size_t j = 0; j < n; ++j) {
+        const Path& path = paths[j];
+        const DcfPayload final_cw =
+            signed_by(path.t1, convert(seeds[2 * j + 1]) - convert(seeds[2 * j]) - path.v_alpha);
+        for (std::uint8_t* key : jobs[j].key) {
+            put_u64(key + kTcwOffset, path.t_cw_left);
+            put_u64(key + kTcwOffset + 8, path.t_cw_right);
+            put_payload(key + kFinalCwOffset, final_cw);
+        }
+    }
 }
 
-DcfKey DcfKey::deserialize(const std::uint8_t* in) {
-    DcfKey key;
-    key.root = crypto::Block128::from_bytes(in);
-    in += 16;
-    for (auto& cw : key.seed_cw) {
-        cw = crypto::Block128::from_bytes(in);
-        in += 16;
+void dcf_eval_batch(int party, std::span<const DcfEvalJob> jobs, std::span<DcfPayload> out) {
+    require(party == 0 || party == 1, "dcf_eval: party must be 0 or 1");
+    require(out.size() == jobs.size(), "dcf_eval: one output per job");
+    const std::size_t n = jobs.size();
+    std::vector<Block128> seeds(n);
+    std::vector<std::uint8_t> blocks(n * 64);
+    std::vector<std::uint8_t> t(n, party == 1 ? 1 : 0);
+    for (std::size_t j = 0; j < n; ++j) {
+        seeds[j] = Block128::from_bytes(jobs[j].key);
+        out[j] = {};
     }
-    for (auto& cw : key.value_cw) {
-        cw.u = get_u64(in);
-        cw.v = get_u64(in + 8);
-        in += 16;
+
+    for (int i = 0; i < kDomainBits; ++i) {
+        expand_level(seeds, blocks);
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::uint8_t* key = jobs[j].key;
+            const bool x_bit = path_bit(jobs[j].x, i);
+            // Payload converts are taken RAW (pre-correction); only the child
+            // seeds and control bits absorb the correction word.
+            Child c = child(blocks.data() + 64 * j, x_bit);
+            if (t[j] != 0) {
+                const std::size_t level = 16 * static_cast<std::size_t>(i);
+                c.value += get_payload(key + kValueCwOffset + level);
+                c.seed ^= Block128::from_bytes(key + kSeedCwOffset + level);
+                c.t ^= ((get_u64(key + kTcwOffset + (x_bit ? 8 : 0)) >> i) & 1ULL) != 0;
+            }
+            out[j] += c.value;
+            seeds[j] = c.seed;
+            t[j] = c.t ? 1 : 0;
+        }
     }
-    key.t_cw_left = get_u64(in);
-    key.t_cw_right = get_u64(in + 8);
-    in += 16;
-    key.final_cw.u = get_u64(in);
-    key.final_cw.v = get_u64(in + 8);
-    return key;
+
+    // Party 1's share is the negated walk; negating the sum once equals
+    // negating every term in Z_{2^64}.
+    for (std::size_t j = 0; j < n; ++j) {
+        out[j] += t[j] != 0 ? convert(seeds[j]) + get_payload(jobs[j].key + kFinalCwOffset)
+                            : convert(seeds[j]);
+        if (party == 1) out[j] = out[j].negated();
+    }
 }
 
 }  // namespace c2pi::fss

@@ -4,7 +4,8 @@
 /// Runtime-dispatched SIMD kernels for the ring-arithmetic and PRG hot
 /// loops: the NTT butterfly passes, the Shoup modular-multiply limb
 /// loops behind multiply_plain(_accumulate), the add_plain delta fold,
-/// the 4->2 mod-switch compose, and the batched ChaCha20 block function.
+/// the 4->2 mod-switch compose, and the batched ChaCha20 block function
+/// (one key over consecutive counters, or block 0 of many keys).
 ///
 /// Three variants exist — scalar, AVX2 and AVX-512 — compiled into
 /// separate translation units (only the kernel TUs carry -m arch flags,
@@ -73,6 +74,14 @@ struct Kernels {
     /// caller advances the counter by nblocks.
     void (*chacha20_blocks)(const std::uint32_t state[16], std::uint8_t* out,
                             std::size_t nblocks) = nullptr;
+    /// Block 0 of ChaCha20 under n independent keys: out[64 i, 64 i + 64)
+    /// = the first keystream block of key seed_i || seed_i, counter 0, the
+    /// given 64-bit nonce — exactly the first 64 bytes of
+    /// crypto::ChaCha20Prg(seed_i, nonce). `seeds` holds n 16-byte seeds
+    /// back to back (Block128::to_bytes layout). This is the GGM node
+    /// expansion of the FSS DCF trees, one tree level per call.
+    void (*chacha20_multikey)(const std::uint8_t* seeds, std::size_t n, std::uint64_t nonce,
+                              std::uint8_t* out) = nullptr;
 };
 
 /// The variant every hot loop uses: the best tier the CPU supports,

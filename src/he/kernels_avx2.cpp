@@ -393,24 +393,13 @@ inline void transpose_8x8_u32(W r[8]) {
     r[7] = _mm256_permute2x128_si256(u3, u7, 0x31);
 }
 
-/// 8 consecutive keystream blocks starting at `counter`.
-void chacha20_8blocks(const std::uint32_t state[16], std::uint64_t counter,
-                      std::uint8_t* out) {
+/// The 8-lane block function: init[w] holds state word w of 8 blocks;
+/// block b's 64 bytes land at out + 64 b.
+void chacha20_8lanes(const W init[16], std::uint8_t* out) {
     const W rot16 = _mm256_set_epi8(13, 12, 15, 14, 9, 8, 11, 10, 5, 4, 7, 6, 1, 0, 3, 2,
                                     13, 12, 15, 14, 9, 8, 11, 10, 5, 4, 7, 6, 1, 0, 3, 2);
     const W rot8 = _mm256_set_epi8(14, 13, 12, 15, 10, 9, 8, 11, 6, 5, 4, 7, 2, 1, 0, 3,
                                    14, 13, 12, 15, 10, 9, 8, 11, 6, 5, 4, 7, 2, 1, 0, 3);
-    W init[16];
-    for (int i = 0; i < 16; ++i) init[i] = _mm256_set1_epi32(static_cast<int>(state[i]));
-    alignas(32) std::uint32_t ctr_lo[8], ctr_hi[8];
-    for (int b = 0; b < 8; ++b) {
-        const std::uint64_t c = counter + static_cast<std::uint64_t>(b);
-        ctr_lo[b] = static_cast<std::uint32_t>(c);
-        ctr_hi[b] = static_cast<std::uint32_t>(c >> 32);
-    }
-    init[12] = _mm256_load_si256(reinterpret_cast<const W*>(ctr_lo));
-    init[13] = _mm256_load_si256(reinterpret_cast<const W*>(ctr_hi));
-
     W x[16];
     for (int i = 0; i < 16; ++i) x[i] = init[i];
     for (int round = 0; round < 10; ++round) {
@@ -435,6 +424,52 @@ void chacha20_8blocks(const std::uint32_t state[16], std::uint64_t counter,
     }
 }
 
+/// 8 consecutive keystream blocks starting at `counter`.
+void chacha20_8blocks(const std::uint32_t state[16], std::uint64_t counter,
+                      std::uint8_t* out) {
+    W init[16];
+    for (int i = 0; i < 16; ++i) init[i] = _mm256_set1_epi32(static_cast<int>(state[i]));
+    alignas(32) std::uint32_t ctr_lo[8], ctr_hi[8];
+    for (int b = 0; b < 8; ++b) {
+        const std::uint64_t c = counter + static_cast<std::uint64_t>(b);
+        ctr_lo[b] = static_cast<std::uint32_t>(c);
+        ctr_hi[b] = static_cast<std::uint32_t>(c >> 32);
+    }
+    init[12] = _mm256_load_si256(reinterpret_cast<const W*>(ctr_lo));
+    init[13] = _mm256_load_si256(reinterpret_cast<const W*>(ctr_hi));
+    chacha20_8lanes(init, out);
+}
+
+/// Block 0 under 8 keys seed_b || seed_b (seeds: 8 x 16 bytes).
+void chacha20_8keys(const std::uint8_t* seeds, std::uint64_t nonce, std::uint8_t* out) {
+    // Seeds b and b + 4 share a register, so a 4x4 u32 transpose within
+    // each 128-bit half leaves key word w of all 8 seeds in one register.
+    W r[4];
+    for (int b = 0; b < 4; ++b) {
+        const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(seeds + 16 * b));
+        const __m128i hi =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(seeds + 16 * (b + 4)));
+        r[b] = _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
+    }
+    const W t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+    const W t1 = _mm256_unpacklo_epi32(r[2], r[3]);
+    const W t2 = _mm256_unpackhi_epi32(r[0], r[1]);
+    const W t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+    const W key[4] = {_mm256_unpacklo_epi64(t0, t1), _mm256_unpackhi_epi64(t0, t1),
+                      _mm256_unpacklo_epi64(t2, t3), _mm256_unpackhi_epi64(t2, t3)};
+    W init[16];
+    init[0] = _mm256_set1_epi32(0x61707865);
+    init[1] = _mm256_set1_epi32(0x3320646E);
+    init[2] = _mm256_set1_epi32(0x79622D32);
+    init[3] = _mm256_set1_epi32(0x6B206574);
+    for (int w = 0; w < 4; ++w) init[4 + w] = init[8 + w] = key[w];
+    init[12] = _mm256_setzero_si256();
+    init[13] = _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(nonce)));
+    init[14] = _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(nonce >> 32)));
+    init[15] = _mm256_setzero_si256();
+    chacha20_8lanes(init, out);
+}
+
 void chacha20_blocks_avx2_impl(const std::uint32_t state[16], std::uint8_t* out,
                                std::size_t nblocks) {
     std::uint64_t counter = static_cast<std::uint64_t>(state[12]) |
@@ -454,14 +489,25 @@ void chacha20_blocks_avx2_impl(const std::uint32_t state[16], std::uint8_t* out,
     }
 }
 
+void chacha20_multikey_avx2_impl(const std::uint8_t* seeds, std::size_t n, std::uint64_t nonce,
+                                 std::uint8_t* out) {
+    for (; n >= 8; n -= 8, seeds += 8 * 16, out += 8 * 64) chacha20_8keys(seeds, nonce, out);
+    if (n > 0) scalar_kernels()->chacha20_multikey(seeds, n, nonce, out);
+}
+
 }  // namespace
 
 namespace detail {
-// Shared with the AVX-512 tier: 8-wide block batching is already
-// memory-bound there, so the 512-bit tier reuses this implementation.
+// Shared with the AVX-512 tier. It reuses the single-key batch (8-wide
+// block batching is already memory-bound there) and hands the multi-key
+// kernel the tails its 16-key body leaves.
 void chacha20_blocks_avx2(const std::uint32_t state[16], std::uint8_t* out,
                           std::size_t nblocks) {
     chacha20_blocks_avx2_impl(state, out, nblocks);
+}
+void chacha20_multikey_avx2(const std::uint8_t* seeds, std::size_t n, std::uint64_t nonce,
+                            std::uint8_t* out) {
+    chacha20_multikey_avx2_impl(seeds, n, nonce, out);
 }
 }  // namespace detail
 
@@ -476,6 +522,7 @@ const Kernels* avx2_kernels() {
         .fold_delta = &fold_delta_avx2,
         .mod_switch_4to2 = &mod_switch_4to2_avx2,
         .chacha20_blocks = &chacha20_blocks_avx2_impl,
+        .chacha20_multikey = &chacha20_multikey_avx2_impl,
     };
     return &k;
 }

@@ -6,8 +6,10 @@
 // AVX-512IFMA, and IFMA's 52-bit limbs would change the lazy-reduction
 // intermediate values — bit-compatibility across tiers forbids that).
 //
-// ChaCha20 reuses the 8-block AVX2 path: the batch is 8 blocks either
-// way and the function is memory-bound at that width.
+// Single-key ChaCha20 reuses the 8-block AVX2 path: the batch is 8
+// blocks either way and the function is memory-bound at that width.
+// Multi-key ChaCha20 (the DCF tree levels) runs a 16-lane body: it is
+// compute-bound, and native rotates plus 16 lanes make it faster.
 //
 // This TU (alone) is compiled with -mavx512{f,dq,bw,vl}; dispatch
 // guarantees the entry points only run after a cpuid check.
@@ -26,6 +28,8 @@ namespace c2pi::he::kernels {
 namespace detail {
 void chacha20_blocks_avx2(const std::uint32_t state[16], std::uint8_t* out,
                           std::size_t nblocks);
+void chacha20_multikey_avx2(const std::uint8_t* seeds, std::size_t n, std::uint64_t nonce,
+                            std::uint8_t* out);
 }  // namespace detail
 
 namespace {
@@ -375,9 +379,90 @@ void mod_switch_4to2_avx512(u64* l0, u64* l1, const u64* l2, const u64* l3,
         scalar_kernels()->mod_switch_4to2(l0 + j, l1 + j, l2 + j, l3 + j, n - j, k);
 }
 
-void chacha20_blocks_avx512(const std::uint32_t state[16], std::uint8_t* out,
-                            std::size_t nblocks) {
-    detail::chacha20_blocks_avx2(state, out, nblocks);
+// -------------------------------------------------------------- ChaCha20 ---
+
+using Z = __m512i;  // 16 x u32 lanes = 16 blocks, one state word per register
+
+inline void quarter_round_z(Z& a, Z& b, Z& c, Z& d) {
+    a = _mm512_add_epi32(a, b);
+    d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 16);
+    c = _mm512_add_epi32(c, d);
+    b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 12);
+    a = _mm512_add_epi32(a, b);
+    d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 8);
+    c = _mm512_add_epi32(c, d);
+    b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 7);
+}
+
+/// 4x4 u32 transpose inside each 128-bit lane: afterwards element e of
+/// lane k in r[i] is element i of lane k in the input r[e].
+inline void transpose_4x4_in_lanes(Z r[4]) {
+    const Z t0 = _mm512_unpacklo_epi32(r[0], r[1]);
+    const Z t1 = _mm512_unpackhi_epi32(r[0], r[1]);
+    const Z t2 = _mm512_unpacklo_epi32(r[2], r[3]);
+    const Z t3 = _mm512_unpackhi_epi32(r[2], r[3]);
+    r[0] = _mm512_unpacklo_epi64(t0, t2);
+    r[1] = _mm512_unpackhi_epi64(t0, t2);
+    r[2] = _mm512_unpacklo_epi64(t1, t3);
+    r[3] = _mm512_unpackhi_epi64(t1, t3);
+}
+
+/// Block 0 under 16 keys seed_i || seed_i (seeds: 16 x 16 bytes). The
+/// 16-lane body wins over the shared 8-lane AVX2 one through native
+/// rotates and twice the lanes per round.
+void chacha20_16keys(const std::uint8_t* seeds, std::uint64_t nonce, std::uint8_t* out) {
+    // Lane k of load j is seed 4j + k; the in-lane transpose leaves key
+    // word w of every seed in key[w], seed 4e + k at u32 position 4k + e.
+    // Blocks are independent, so that order is undone only when storing.
+    Z key[4];
+    for (int j = 0; j < 4; ++j) key[j] = _mm512_loadu_si512(seeds + 64 * j);
+    transpose_4x4_in_lanes(key);
+    Z init[16];
+    init[0] = _mm512_set1_epi32(0x61707865);
+    init[1] = _mm512_set1_epi32(0x3320646E);
+    init[2] = _mm512_set1_epi32(0x79622D32);
+    init[3] = _mm512_set1_epi32(0x6B206574);
+    for (int w = 0; w < 4; ++w) init[4 + w] = init[8 + w] = key[w];
+    init[12] = _mm512_setzero_si512();
+    init[13] = _mm512_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(nonce)));
+    init[14] = _mm512_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(nonce >> 32)));
+    init[15] = _mm512_setzero_si512();
+
+    Z x[16];
+    for (int i = 0; i < 16; ++i) x[i] = init[i];
+    for (int round = 0; round < 10; ++round) {
+        quarter_round_z(x[0], x[4], x[8], x[12]);
+        quarter_round_z(x[1], x[5], x[9], x[13]);
+        quarter_round_z(x[2], x[6], x[10], x[14]);
+        quarter_round_z(x[3], x[7], x[11], x[15]);
+        quarter_round_z(x[0], x[5], x[10], x[15]);
+        quarter_round_z(x[1], x[6], x[11], x[12]);
+        quarter_round_z(x[2], x[7], x[8], x[13]);
+        quarter_round_z(x[3], x[4], x[9], x[14]);
+    }
+    for (int i = 0; i < 16; ++i) x[i] = _mm512_add_epi32(x[i], init[i]);
+
+    // After the in-lane transpose of words 4g..4g+3, lane k of x[4g + e]
+    // holds bytes 16g..16g+15 of seed 4e + k's block; a 128-bit 4x4
+    // transpose across g then assembles whole blocks.
+    for (int g = 0; g < 4; ++g) transpose_4x4_in_lanes(x + 4 * g);
+    for (int e = 0; e < 4; ++e) {
+        const Z u0 = _mm512_shuffle_i32x4(x[e], x[4 + e], 0x44);
+        const Z u1 = _mm512_shuffle_i32x4(x[e], x[4 + e], 0xEE);
+        const Z u2 = _mm512_shuffle_i32x4(x[8 + e], x[12 + e], 0x44);
+        const Z u3 = _mm512_shuffle_i32x4(x[8 + e], x[12 + e], 0xEE);
+        std::uint8_t* dst = out + 4 * 64 * e;
+        _mm512_storeu_si512(dst, _mm512_shuffle_i32x4(u0, u2, 0x88));
+        _mm512_storeu_si512(dst + 64, _mm512_shuffle_i32x4(u0, u2, 0xDD));
+        _mm512_storeu_si512(dst + 128, _mm512_shuffle_i32x4(u1, u3, 0x88));
+        _mm512_storeu_si512(dst + 192, _mm512_shuffle_i32x4(u1, u3, 0xDD));
+    }
+}
+
+void chacha20_multikey_avx512(const std::uint8_t* seeds, std::size_t n, std::uint64_t nonce,
+                              std::uint8_t* out) {
+    for (; n >= 16; n -= 16, seeds += 16 * 16, out += 16 * 64) chacha20_16keys(seeds, nonce, out);
+    if (n > 0) detail::chacha20_multikey_avx2(seeds, n, nonce, out);
 }
 
 }  // namespace
@@ -392,7 +477,8 @@ const Kernels* avx512_kernels() {
         .mul_shoup_accumulate = &mul_shoup_accumulate_avx512,
         .fold_delta = &fold_delta_avx512,
         .mod_switch_4to2 = &mod_switch_4to2_avx512,
-        .chacha20_blocks = &chacha20_blocks_avx512,
+        .chacha20_blocks = &detail::chacha20_blocks_avx2,
+        .chacha20_multikey = &chacha20_multikey_avx512,
     };
     return &k;
 }

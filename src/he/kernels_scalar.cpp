@@ -143,6 +143,26 @@ inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
     c += d; b ^= c; b = rotl32(b, 7);
 }
 
+/// The RFC 8439 block function of one input state.
+void chacha20_block(const std::uint32_t input[16], std::uint8_t out[64]) {
+    std::uint32_t x[16];
+    std::memcpy(x, input, sizeof(x));
+    for (int round = 0; round < 10; ++round) {
+        quarter_round(x[0], x[4], x[8], x[12]);
+        quarter_round(x[1], x[5], x[9], x[13]);
+        quarter_round(x[2], x[6], x[10], x[14]);
+        quarter_round(x[3], x[7], x[11], x[15]);
+        quarter_round(x[0], x[5], x[10], x[15]);
+        quarter_round(x[1], x[6], x[11], x[12]);
+        quarter_round(x[2], x[7], x[8], x[13]);
+        quarter_round(x[3], x[4], x[9], x[14]);
+    }
+    for (int i = 0; i < 16; ++i) {
+        const std::uint32_t v = x[i] + input[i];
+        std::memcpy(out + 4 * i, &v, 4);
+    }
+}
+
 void chacha20_blocks_scalar(const std::uint32_t state[16], std::uint8_t* out,
                             std::size_t nblocks) {
     std::uint64_t counter = static_cast<std::uint64_t>(state[12]) |
@@ -152,22 +172,21 @@ void chacha20_blocks_scalar(const std::uint32_t state[16], std::uint8_t* out,
         std::memcpy(input, state, sizeof(input));
         input[12] = static_cast<std::uint32_t>(counter);
         input[13] = static_cast<std::uint32_t>(counter >> 32);
-        std::uint32_t x[16];
-        std::memcpy(x, input, sizeof(x));
-        for (int round = 0; round < 10; ++round) {
-            quarter_round(x[0], x[4], x[8], x[12]);
-            quarter_round(x[1], x[5], x[9], x[13]);
-            quarter_round(x[2], x[6], x[10], x[14]);
-            quarter_round(x[3], x[7], x[11], x[15]);
-            quarter_round(x[0], x[5], x[10], x[15]);
-            quarter_round(x[1], x[6], x[11], x[12]);
-            quarter_round(x[2], x[7], x[8], x[13]);
-            quarter_round(x[3], x[4], x[9], x[14]);
-        }
-        for (int i = 0; i < 16; ++i) {
-            const std::uint32_t v = x[i] + input[i];
-            std::memcpy(out + 4 * i, &v, 4);
-        }
+        chacha20_block(input, out);
+    }
+}
+
+void chacha20_multikey_scalar(const std::uint8_t* seeds, std::size_t n, std::uint64_t nonce,
+                              std::uint8_t* out) {
+    std::uint32_t input[16] = {0x61707865, 0x3320646E, 0x79622D32, 0x6B206574};
+    input[12] = 0;
+    input[13] = static_cast<std::uint32_t>(nonce);
+    input[14] = static_cast<std::uint32_t>(nonce >> 32);
+    input[15] = 0;
+    for (std::size_t i = 0; i < n; ++i, seeds += 16, out += 64) {
+        std::memcpy(&input[4], seeds, 16);
+        std::memcpy(&input[8], seeds, 16);
+        chacha20_block(input, out);
     }
 }
 
@@ -184,6 +203,7 @@ const Kernels* scalar_kernels() {
         .fold_delta = &fold_delta_scalar,
         .mod_switch_4to2 = &mod_switch_4to2_scalar,
         .chacha20_blocks = &chacha20_blocks_scalar,
+        .chacha20_multikey = &chacha20_multikey_scalar,
     };
     return &k;
 }

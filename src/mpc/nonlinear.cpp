@@ -168,24 +168,24 @@ std::vector<Ring> relu_shares_gc(PartyContext& ctx, std::span<const Ring> y_shar
 /// FSS backend: drain preprocessed key material (replenishing any
 /// deficit first — both parties compute the identical deficit from their
 /// equal-sized pools, so the dealer/recv calls pair up), reconstruct the
-/// masked values in one round, then evaluate locally.
+/// masked values in one round, then evaluate locally on the session's
+/// thread pool.
 std::vector<Ring> relu_shares_fss(PartyContext& ctx, std::span<const Ring> y_share) {
     const std::size_t n = y_share.size();
     auto& pool = ctx.fss_pool();
+    const core::ThreadPool* threads = ctx.bfv().thread_pool();
     if (pool.size() < n) {
         const std::size_t deficit = n - pool.size();
         if (ctx.is_server())
-            fss::dealer_replenish(ctx.transport(), ctx.prg(), pool, deficit);
+            fss::dealer_replenish(ctx.transport(), ctx.prg(), pool, deficit, threads);
         else
             fss::client_replenish(ctx.transport(), pool, deficit);
     }
     const auto keys = pool.take(n);
     std::vector<Ring> masked(n);
-    for (std::size_t i = 0; i < n; ++i) masked[i] = y_share[i] + keys[i].r_share;
+    for (std::size_t i = 0; i < n; ++i) masked[i] = y_share[i] + fss::relu_mask_share(keys, i);
     const auto z = reveal_shares(ctx, masked);
-    std::vector<Ring> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = fss::eval_relu(keys[i], ctx.party(), z[i]);
-    return out;
+    return fss::eval_relu_batch(keys, ctx.party(), z, threads);
 }
 
 /// max(a, b) = a + ReLU(b - a), elementwise over shares (FSS flavour of

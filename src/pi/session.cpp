@@ -303,7 +303,7 @@ void ServerSession::run(net::Transport& transport, const TailFn& tail) const {
     // one reconstruction round + local evals per layer.
     if (nonlinear == mpc::NonlinearBackend::kFss)
         fss::dealer_replenish(transport, ctx.prg(), ctx.fss_pool(),
-                              count_fss_comparisons(cm.plan()));
+                              count_fss_comparisons(cm.plan()), cm.bfv().thread_pool());
 
     std::vector<Ring> share(static_cast<std::size_t>(shape_numel(cm.input_shape())), 0);
     const PartyRun runner{cm.plan(), cm.layer_caches(), config_.backend, cm.fmt(), nonlinear};

@@ -5,16 +5,19 @@
 // exactly, not merely compute congruent values. Coverage includes
 // lazy-reduction boundary values (near p, 2p and 4p), non-multiple-of-
 // vector-width lengths (tail loops), the small-n scalar fallback inside
-// the SIMD NTTs, and ChaCha20 counter propagation across 32-bit wraps.
+// the SIMD NTTs, ChaCha20 counter propagation across 32-bit wraps, and
+// the multi-key ChaCha20 slot against the node PRG it replaces.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <iostream>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "crypto/chacha20.hpp"
+#include "fss/dcf.hpp"
 #include "he/kernels.hpp"
 #include "he/modmath.hpp"
 #include "he/ntt.hpp"
@@ -69,6 +72,7 @@ TEST_F(KernelsTest, DispatchListSane) {
         EXPECT_NE(k->fold_delta, nullptr);
         EXPECT_NE(k->mod_switch_4to2, nullptr);
         EXPECT_NE(k->chacha20_blocks, nullptr);
+        EXPECT_NE(k->chacha20_multikey, nullptr);
     }
 }
 
@@ -259,6 +263,31 @@ TEST_F(KernelsTest, ChaCha20CounterWrapsIdentically) {
         std::vector<std::uint8_t> got(nblocks * 64, 0);
         k->chacha20_blocks(state, got.data(), nblocks);
         ASSERT_EQ(got, ref) << "variant " << k->name;
+    }
+}
+
+TEST_F(KernelsTest, ChaCha20MultikeyBitIdenticalAndEqualsPrgBlockZero) {
+    std::mt19937_64 rng(0xC2B1'0009);
+    std::vector<std::size_t> counts;
+    for (std::size_t n = 0; n <= 17; ++n) counts.push_back(n);
+    counts.push_back(33);
+    counts.push_back(67);
+    for (const std::size_t n : counts) {
+        std::vector<std::uint8_t> seeds(16 * n);
+        for (auto& b : seeds) b = static_cast<std::uint8_t>(rng());
+        // Slot i must be the first block of the node PRG keyed by seed i
+        // (the PRG stream itself is pinned to RFC 8439 below).
+        std::vector<std::uint8_t> ref(64 * n);
+        for (std::size_t i = 0; i < n; ++i) {
+            c2pi::crypto::ChaCha20Prg prg(c2pi::crypto::Block128::from_bytes(&seeds[16 * i]),
+                                          c2pi::fss::kNodeNonce);
+            prg.fill_bytes(std::span(ref).subspan(64 * i, 64));
+        }
+        for (const auto* k : kernels::supported()) {
+            std::vector<std::uint8_t> got(64 * n, 0xAA);
+            k->chacha20_multikey(seeds.data(), n, c2pi::fss::kNodeNonce, got.data());
+            ASSERT_EQ(got, ref) << "variant " << k->name << " n=" << n;
+        }
     }
 }
 
