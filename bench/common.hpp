@@ -24,7 +24,8 @@
 #include "nn/zoo.hpp"
 #include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
-#include "pi/c2pi.hpp"
+#include "pi/boundary.hpp"
+#include "pi/session.hpp"
 
 namespace c2pi::bench {
 

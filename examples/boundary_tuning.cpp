@@ -11,7 +11,8 @@
 #include "attack/inverse.hpp"
 #include "nn/zoo.hpp"
 #include "nn/trainer.hpp"
-#include "pi/c2pi.hpp"
+#include "pi/boundary.hpp"
+#include "pi/session.hpp"
 
 int main() {
     using namespace c2pi;
@@ -45,13 +46,10 @@ int main() {
     const Tensor input = dataset.test()[0].image.reshaped({1, 3, 16, 16});
 
     // Full-PI reference cost.
-    pi::C2piOptions base;
-    base.backend = pi::PiBackend::kCheetah;
-    base.he_ring_degree = 1024;
-    const pi::CompiledModel full(model,
-                                 {.input_chw = {3, 16, 16}, .he_ring_degree = base.he_ring_degree});
-    const auto full_res =
-        pi::run_private_inference(full, pi::SessionConfig{.backend = base.backend}, input);
+    const pi::CompiledModel::Options full_opts{.input_chw = {3, 16, 16}, .he_ring_degree = 1024};
+    const pi::CompiledModel full(model, full_opts);
+    const auto full_res = pi::run_private_inference(
+        full, pi::SessionConfig{.backend = pi::PiBackend::kCheetah}, input);
     const double full_wan = full_res.stats.latency_seconds(net::NetworkModel::wan());
     const double full_mb = static_cast<double>(full_res.stats.total_bytes()) / (1024.0 * 1024.0);
     std::printf("%8s  %10s  %10s  %12s  %12s\n", "sigma", "boundary", "accuracy", "WAN latency",
@@ -60,19 +58,25 @@ int main() {
                 100.0 * rep.final_test_accuracy, full_wan, full_mb);
 
     for (const double sigma : {0.5, 0.3, 0.2}) {
-        pi::C2piOptions opts = base;
-        opts.boundary.ssim_threshold = sigma;
-        opts.boundary.noise_lambda = 0.1F;
-        opts.boundary.max_accuracy_drop = 0.025;
-        opts.boundary.attack_eval_samples = 6;
-        pi::C2piSystem system(model, dataset, dina, opts);
-        const auto res = system.infer(input);
+        pi::BoundaryConfig bcfg;
+        bcfg.ssim_threshold = sigma;
+        bcfg.noise_lambda = 0.1F;
+        bcfg.max_accuracy_drop = 0.025;
+        bcfg.attack_eval_samples = 6;
+        const pi::BoundaryResult found = pi::search_boundary(model, dataset, dina, bcfg);
+        pi::CompiledModel::Options opts = full_opts;
+        opts.boundary = found.boundary;
+        const pi::CompiledModel compiled(model, opts);
+        const auto res = pi::run_private_inference(
+            compiled,
+            pi::SessionConfig{.backend = pi::PiBackend::kCheetah,
+                              .noise_lambda = bcfg.noise_lambda},
+            input);
         const double wan = res.stats.latency_seconds(net::NetworkModel::wan());
         const double mb = static_cast<double>(res.stats.total_bytes()) / (1024.0 * 1024.0);
         std::printf("%8.1f  %10.1f  %10.1f%%  %9.3fs   %9.2f MB   (%.2fx faster, %.2fx less comm)\n",
-                    sigma, system.boundary().boundary.as_decimal(),
-                    100.0 * system.boundary().boundary_accuracy, wan, mb, full_wan / wan,
-                    full_mb / mb);
+                    sigma, found.boundary.as_decimal(), 100.0 * found.boundary_accuracy, wan, mb,
+                    full_wan / wan, full_mb / mb);
         std::fflush(stdout);
     }
 

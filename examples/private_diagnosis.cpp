@@ -10,7 +10,8 @@
 
 #include "nn/zoo.hpp"
 #include "nn/trainer.hpp"
-#include "pi/c2pi.hpp"
+#include "pi/boundary.hpp"
+#include "pi/session.hpp"
 
 namespace {
 

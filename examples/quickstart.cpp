@@ -3,10 +3,12 @@
 //  1. The server trains a model (AlexNet on a CIFAR-10-like dataset).
 //  2. The server runs Algorithm 1 with DINA to find the crypto-clear
 //     boundary (here with a small budget; see bench/ for paper scale).
-//  3. The boundary is compiled ONCE into an immutable artifact
-//     (pi::CompiledModel) and served many times: one single inference,
-//     then a batch of four whose revealed clear-layer tails the server
-//     executes as one batched plaintext pass (pi::InferenceService).
+//  3. The boundary is compiled ONCE into an immutable pi::CompiledModel,
+//     and one private inference runs against it in-process.
+//
+// Serving many clients — with their revealed clear-layer tails batched
+// into one plaintext pass — is pi::ServingPool's job; pi_server exposes
+// it over TCP (--pool W --tail-window MS).
 //
 // Build & run:  ./build/examples/quickstart
 
@@ -15,7 +17,8 @@
 #include "attack/inverse.hpp"
 #include "nn/zoo.hpp"
 #include "nn/trainer.hpp"
-#include "pi/c2pi.hpp"
+#include "pi/boundary.hpp"
+#include "pi/session.hpp"
 
 int main() {
     using namespace c2pi;
@@ -41,13 +44,11 @@ int main() {
     std::printf("  test accuracy: %.1f%%\n\n", 100.0 * report.final_test_accuracy);
 
     // ---- 2. Algorithm 1: find the crypto-clear boundary with DINA --------
-    pi::C2piOptions options;
-    options.backend = pi::PiBackend::kCheetah;
-    options.he_ring_degree = 1024;  // 16x16 images fit small HE parameters
-    options.boundary.ssim_threshold = 0.3;   // sigma
-    options.boundary.noise_lambda = 0.1F;    // lambda
-    options.boundary.max_accuracy_drop = 0.025;  // delta
-    options.boundary.attack_eval_samples = 6;
+    pi::BoundaryConfig bcfg;
+    bcfg.ssim_threshold = 0.3;       // sigma
+    bcfg.noise_lambda = 0.1F;        // lambda
+    bcfg.max_accuracy_drop = 0.025;  // delta
+    bcfg.attack_eval_samples = 6;
 
     attack::InverseConfig dina_cfg;
     dina_cfg.epochs = 5;
@@ -58,17 +59,26 @@ int main() {
     };
 
     std::printf("Running Algorithm 1 (boundary search with DINA) ...\n");
-    pi::C2piSystem system(model, dataset, dina, options);
+    const pi::BoundaryResult found = pi::search_boundary(model, dataset, dina, bcfg);
     std::printf("  boundary: linear op %.1f of %lld  (accuracy there: %.1f%%)\n\n",
-                system.boundary().boundary.as_decimal(),
-                static_cast<long long>(model.num_linear_ops()),
-                100.0 * system.boundary().boundary_accuracy);
+                found.boundary.as_decimal(), static_cast<long long>(model.num_linear_ops()),
+                100.0 * found.boundary_accuracy);
 
-    // ---- 3. serve-many: one inference, then a batch ----------------------
+    // ---- 3. compile once, then run a private inference -------------------
+    const pi::CompiledModel compiled(
+        model, {.input_chw = {3, 16, 16},
+                .boundary = found.boundary,
+                .he_ring_degree = 1024});  // 16x16 images fit small HE parameters
+    // The client noises its revealed share with the lambda Algorithm 1
+    // validated the boundary's accuracy under.
+    const pi::SessionConfig session{.backend = pi::PiBackend::kCheetah,
+                                    .noise_lambda = bcfg.noise_lambda};
+
     const auto& sample = dataset.test()[0];
     std::printf("Private inference on a client image (true class %lld) ...\n",
                 static_cast<long long>(sample.label));
-    const auto result = system.infer(sample.image.reshaped({1, 3, 16, 16}));
+    const auto result =
+        pi::run_private_inference(compiled, session, sample.image.reshaped({1, 3, 16, 16}));
 
     std::int64_t predicted = 0;
     for (std::int64_t j = 1; j < result.logits.dim(1); ++j)
@@ -83,26 +93,7 @@ int main() {
                 result.stats.latency_seconds(net::NetworkModel::lan()),
                 result.stats.latency_seconds(net::NetworkModel::wan()));
 
-    // ---- 4. batched serving: crypto per request, ONE clear-tail pass -----
-    std::vector<Tensor> requests;
-    for (std::size_t i = 1; i <= 4; ++i)
-        requests.push_back(dataset.test()[i].image.reshaped({1, 3, 16, 16}));
-    std::printf("\nBatched private inference on %zu client requests ...\n", requests.size());
-    const auto batch = system.infer_batch(requests);
-    for (std::size_t i = 0; i < batch.results.size(); ++i) {
-        const auto& logits = batch.results[i].logits;
-        std::int64_t cls = 0;
-        for (std::int64_t j = 1; j < logits.dim(1); ++j)
-            if (logits[j] > logits[cls]) cls = j;
-        std::printf("  request %zu: predicted class %lld (true %lld)\n", i,
-                    static_cast<long long>(cls),
-                    static_cast<long long>(dataset.test()[i + 1].label));
-    }
-    std::printf("  clear-tail passes on the server so far: %llu "
-                "(the single inference + ONE for the whole batch)\n",
-                static_cast<unsigned long long>(system.compiled().clear_tail_passes()));
-    std::printf("  batch traffic: %.2f MB   joint wall time: %.3f s\n",
-                static_cast<double>(batch.aggregate.total_bytes()) / (1024.0 * 1024.0),
-                batch.aggregate.wall_seconds);
+    std::printf("\nTo serve many clients with their clear tails batched into one\n"
+                "plaintext pass, run pi_server --pool W --tail-window MS.\n");
     return 0;
 }

@@ -259,13 +259,6 @@ std::vector<Ring> he_conv_server(PartyContext& ctx, const ConvLayerCache& cache,
     return out_share;
 }
 
-std::vector<Ring> he_conv_server(PartyContext& ctx, const he::ConvGeometry& geo,
-                                 std::span<const Ring> weights, std::span<const Ring> bias2f,
-                                 std::span<const Ring> x_share) {
-    const ConvLayerCache cache(ctx.bfv(), geo, weights, bias2f);
-    return he_conv_server(ctx, cache, x_share);
-}
-
 std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvEncoder& enc,
                                  std::span<const Ring> x_share) {
     const he::BfvContext& bfv = ctx.bfv();
@@ -287,12 +280,6 @@ std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvEncoder& enc,
                   out_share.begin() + static_cast<std::ptrdiff_t>(o * out_pixels));
     }
     return out_share;
-}
-
-std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvGeometry& geo,
-                                 std::span<const Ring> x_share) {
-    const he::ConvEncoder enc(ctx.bfv(), geo);
-    return he_conv_client(ctx, enc, x_share);
 }
 
 std::vector<Ring> he_matvec_server(PartyContext& ctx, const MatVecLayerCache& cache,
@@ -339,13 +326,6 @@ std::vector<Ring> he_matvec_server(PartyContext& ctx, const MatVecLayerCache& ca
     return out_share;
 }
 
-std::vector<Ring> he_matvec_server(PartyContext& ctx, std::int64_t in, std::int64_t out,
-                                   std::span<const Ring> weights, std::span<const Ring> bias2f,
-                                   std::span<const Ring> x_share) {
-    const MatVecLayerCache cache(ctx.bfv(), in, out, weights, bias2f);
-    return he_matvec_server(ctx, cache, x_share);
-}
-
 std::vector<Ring> he_matvec_client(PartyContext& ctx, const he::MatVecEncoder& enc,
                                    std::span<const Ring> x_share) {
     const he::BfvContext& bfv = ctx.bfv();
@@ -363,12 +343,6 @@ std::vector<Ring> he_matvec_client(PartyContext& ctx, const he::MatVecEncoder& e
                   out_share.begin() + static_cast<std::ptrdiff_t>(b * enc.outs_per_block()));
     }
     return out_share;
-}
-
-std::vector<Ring> he_matvec_client(PartyContext& ctx, std::int64_t in, std::int64_t out,
-                                   std::span<const Ring> x_share) {
-    const he::MatVecEncoder enc(ctx.bfv(), in, out);
-    return he_matvec_client(ctx, enc, x_share);
 }
 
 }  // namespace c2pi::mpc

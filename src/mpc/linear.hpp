@@ -12,20 +12,14 @@
 /// server's new share is r (plus its plain contribution). Outputs carry
 /// fixed-point scale 2f and must be truncated by the caller.
 ///
-/// Two server entry points per layer type:
-///
-///  * the cache-based fast path (`ConvLayerCache` / `MatVecLayerCache`):
-///    every input-independent piece — encoder geometry, the NTT-form
-///    weight plaintexts and their Shoup companions — is precomputed once
-///    (CompiledModel construction) and only the input-dependent work runs
-///    per inference. The per-response ciphertexts are computed in
-///    parallel over the cache's thread pool but SENT in deterministic
-///    channel order, so the wire transcript, the traffic accounting and
-///    the client's view are bit-identical to the serial path;
-///
-///  * the span-based convenience overloads, which build a throwaway cache
-///    per call. Same transcript, seed-era cost; kept for tests and
-///    one-shot callers.
+/// The server runs over a per-layer cache (`ConvLayerCache` /
+/// `MatVecLayerCache`): every input-independent piece — encoder geometry,
+/// the NTT-form weight plaintexts and their Shoup companions — is
+/// precomputed once (CompiledModel construction) and only the
+/// input-dependent work runs per inference. The per-response ciphertexts
+/// are computed in parallel over the cache's thread pool but SENT in
+/// deterministic channel order, so the wire transcript, the traffic
+/// accounting and the client's view are bit-identical to a serial run.
 
 #include <memory>
 
@@ -76,18 +70,12 @@ struct MatVecLayerCache {
     std::vector<std::vector<std::int64_t>> scatter_idx; ///< [block][row]
 };
 
-/// Server side of the secure convolution over a precomputed layer cache.
-/// `x_share` is the server's input share ([C,H,W]); returns the server's
-/// output share ([O,OH,OW] flattened).
+/// Server side of the secure convolution over a precomputed layer cache
+/// (its `weights` are ring-encoded [O,C,k,k], its `bias2f` — may be empty —
+/// per-output-channel at scale 2^2f). `x_share` is the server's input
+/// share ([C,H,W]); returns the server's output share ([O,OH,OW]
+/// flattened).
 [[nodiscard]] std::vector<Ring> he_conv_server(PartyContext& ctx, const ConvLayerCache& cache,
-                                               std::span<const Ring> x_share);
-
-/// Convenience overload: builds a throwaway cache. `weights` are
-/// ring-encoded [O,C,k,k], `bias2f` (may be empty) is per-output-channel
-/// at scale 2^2f.
-[[nodiscard]] std::vector<Ring> he_conv_server(PartyContext& ctx, const he::ConvGeometry& geo,
-                                               std::span<const Ring> weights,
-                                               std::span<const Ring> bias2f,
                                                std::span<const Ring> x_share);
 
 /// Client side; `x_share` is the client's input share. The encoder
@@ -95,20 +83,12 @@ struct MatVecLayerCache {
 /// artifact's encoder instead of rebuilding it per request.
 [[nodiscard]] std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvEncoder& enc,
                                                std::span<const Ring> x_share);
-[[nodiscard]] std::vector<Ring> he_conv_client(PartyContext& ctx, const he::ConvGeometry& geo,
-                                               std::span<const Ring> x_share);
 
 /// Fully-connected counterparts: weights [out,in] row-major.
 [[nodiscard]] std::vector<Ring> he_matvec_server(PartyContext& ctx,
                                                  const MatVecLayerCache& cache,
                                                  std::span<const Ring> x_share);
-[[nodiscard]] std::vector<Ring> he_matvec_server(PartyContext& ctx, std::int64_t in,
-                                                 std::int64_t out, std::span<const Ring> weights,
-                                                 std::span<const Ring> bias2f,
-                                                 std::span<const Ring> x_share);
 [[nodiscard]] std::vector<Ring> he_matvec_client(PartyContext& ctx, const he::MatVecEncoder& enc,
                                                  std::span<const Ring> x_share);
-[[nodiscard]] std::vector<Ring> he_matvec_client(PartyContext& ctx, std::int64_t in,
-                                                 std::int64_t out, std::span<const Ring> x_share);
 
 }  // namespace c2pi::mpc

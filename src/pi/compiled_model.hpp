@@ -10,8 +10,8 @@
 /// plaintexts (`layer_caches()`). It is built exactly once per (model,
 /// boundary, format, HE parameters) and is immutable afterwards, so a
 /// single `const CompiledModel` can back any number of concurrent
-/// `ServerSession`s (session.hpp) or a batched `InferenceService`
-/// (service.hpp). The input owner's counterpart is `pi::ClientModel`,
+/// `ServerSession`s (session.hpp), e.g. the workers of a `ServingPool`
+/// (serving_pool.hpp). The input owner's counterpart is `pi::ClientModel`,
 /// compiled from the artifact alone — holding a CompiledModel means
 /// holding weights, and only the model owner ever does.
 ///

@@ -38,9 +38,6 @@ FailureClass classify_failure(const std::exception& e) {
     // they must be tested before the generic Error bucket.
     if (dynamic_cast<const net::RecvTimeout*>(&e) != nullptr) return FailureClass::kTimeout;
     if (dynamic_cast<const net::PeerClosed*>(&e) != nullptr) return FailureClass::kClientAbort;
-    // A sibling session poisoned the shared batch pass — not this
-    // client's doing, and not its protocol's.
-    if (dynamic_cast<const TailBatcher::Aborted*>(&e) != nullptr) return FailureClass::kInternal;
     if (dynamic_cast<const Error*>(&e) != nullptr) return FailureClass::kProtocolViolation;
     return FailureClass::kInternal;
 }
@@ -58,8 +55,8 @@ ServingPool::ServingPool(const CompiledModel& model, SessionConfig config, Optio
         // At most `workers` sessions can be at the boundary at once, so a
         // group of that size closes with zero extra wait.
         batcher_ = std::make_unique<TailBatcher>(
-            model, TailBatcher::Windowed{static_cast<std::size_t>(workers()),
-                                         std::chrono::milliseconds(options.tail_window_ms)});
+            model, static_cast<std::size_t>(workers()),
+            std::chrono::milliseconds(options.tail_window_ms));
     }
 }
 

@@ -22,7 +22,7 @@
 /// The paper's crypto-clear boundary pays off *across clients* here:
 /// with `tail_window_ms > 0`, sessions whose crypto phase completes
 /// within the window deposit their revealed boundary activations into a
-/// shared windowed `TailBatcher`, and one batched plaintext pass serves
+/// shared `TailBatcher`, and one batched plaintext pass serves
 /// the whole group (`CompiledModel::run_clear_tail` once, not once per
 /// client). Batching changes where the tail executes, never its result:
 /// per-request logits are bit-identical to sequential serving
@@ -46,8 +46,6 @@ namespace c2pi::pi {
 ///   - net::RecvTimeout            -> kTimeout (connected but silent)
 ///   - net::PeerClosed             -> kClientAbort (EOF/reset/clean goodbye
 ///                                    mid-protocol: the client went away)
-///   - TailBatcher::Aborted        -> kInternal (a *sibling* session
-///                                    poisoned the shared batch pass)
 ///   - any other c2pi::Error       -> kProtocolViolation (malformed frame,
 ///                                    codec failure, illegal message)
 ///   - any other std::exception    -> kInternal (our bug, not the peer's)
@@ -161,7 +159,7 @@ private:
     const ArtifactDigest artifact_digest_;  ///< SHA-256 of artifact_bytes_
     const Options options_;
     const std::function<void(const SessionReport&)> on_session_;
-    std::unique_ptr<TailBatcher> batcher_;  ///< null unless windowed batching is on
+    std::unique_ptr<TailBatcher> batcher_;  ///< null unless tail batching is on
 
     mutable std::mutex mutex_;  ///< guards the Stats fields below
     Stats stats_;

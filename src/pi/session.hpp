@@ -73,8 +73,8 @@ class ServerSession {
 public:
     /// Clear-tail hook: receives the revealed boundary activation
     /// [1, ...boundary shape] and returns the logits [1, classes]. The
-    /// batched InferenceService uses this to coalesce many requests into
-    /// one plaintext pass.
+    /// serving pool's TailBatcher uses this to coalesce many requests
+    /// into one plaintext pass.
     using TailFn = std::function<Tensor(const Tensor&)>;
 
     ServerSession(const CompiledModel& model, SessionConfig config)

@@ -2,30 +2,21 @@
 
 namespace c2pi::pi {
 
-TailBatcher::TailBatcher(const CompiledModel& model, Fixed mode)
-    : model_(&model),
-      target_(mode.expected),
-      window_(std::chrono::milliseconds(-1)),
-      fixed_(true) {
+TailBatcher::TailBatcher(const CompiledModel& model, std::size_t max_group,
+                         std::chrono::milliseconds window)
+    : model_(&model), target_(max_group), window_(window) {
     require(!model.full_pi(), "TailBatcher: a full-PI model has no clear tail to batch");
-    require(mode.expected >= 1, "TailBatcher: fixed group size must be >= 1");
-}
-
-TailBatcher::TailBatcher(const CompiledModel& model, Windowed mode)
-    : model_(&model), target_(mode.max_group), window_(mode.window), fixed_(false) {
-    require(!model.full_pi(), "TailBatcher: a full-PI model has no clear tail to batch");
-    require(mode.max_group >= 1, "TailBatcher: max_group must be >= 1");
-    require(mode.window.count() >= 0, "TailBatcher: window must be >= 0 ms");
+    require(max_group >= 1, "TailBatcher: max_group must be >= 1");
+    require(window.count() >= 0, "TailBatcher: window must be >= 0 ms");
 }
 
 Tensor TailBatcher::run(const Tensor& activation) {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (aborted_) throw Aborted{};
     if (!current_) {
         current_ = std::make_shared<Group>();
         current_->activations =
             Tensor(model_->batched_boundary_shape(static_cast<std::int64_t>(target_)));
-        if (!fixed_) current_->deadline = std::chrono::steady_clock::now() + window_;
+        current_->deadline = std::chrono::steady_clock::now() + window_;
     }
     const auto group = current_;
     const std::size_t slot = group->arrived++;
@@ -38,7 +29,7 @@ Tensor TailBatcher::run(const Tensor& activation) {
         // A full group closes with zero extra wait: no more sessions can
         // possibly join it (target_ bounds the concurrent depositors).
         close_and_run(group, lock);
-    } else if (!fixed_ && slot == 0) {
+    } else if (slot == 0) {
         // The group's first arrival is its timekeeper: wait out the
         // window and close the group unless someone else closed it first.
         while (!group->closed) {
@@ -74,8 +65,8 @@ void TailBatcher::close_and_run(const std::shared_ptr<Group>& group,
         batch = Tensor(model_->batched_boundary_shape(static_cast<std::int64_t>(n)));
         for (std::int64_t j = 0; j < batch.numel(); ++j) batch[j] = group->activations[j];
     }
-    // The pass runs unlocked so new arrivals form the next group (and a
-    // fixed-mode abort can land) while this one computes.
+    // The pass runs unlocked so new arrivals form the next group while
+    // this one computes.
     lock.unlock();
     Tensor logits;
     std::exception_ptr error;
@@ -90,19 +81,6 @@ void TailBatcher::close_and_run(const std::shared_ptr<Group>& group,
     } else {
         group->logits = std::move(logits);
         group->done = true;
-    }
-    cv_.notify_all();
-}
-
-void TailBatcher::abort() {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        aborted_ = true;
-        if (current_ && !current_->closed) {
-            current_->closed = true;
-            current_->error = std::make_exception_ptr(Aborted{});
-            current_.reset();
-        }
     }
     cv_.notify_all();
 }

@@ -4,28 +4,21 @@
 /// Cross-request coalescing of the revealed clear tail.
 ///
 /// C2PI's crypto-clear boundary makes the server-side tail plain float
-/// compute, which is trivially batchable — within one process
-/// (`InferenceService::run_batch`) and across independent client
-/// connections (`pi::ServingPool`). Both feed this rendezvous: every
-/// server session deposits its revealed boundary activation and blocks;
-/// one depositor runs the tail for the whole group as a single
-/// `CompiledModel::run_clear_tail` pass, and the rest pick up their row.
-/// Batching changes *where* the tail executes, never its result: the
-/// pass is row-independent, so per-request logits are bit-identical to
-/// unbatched serving (tests/service_test.cpp, tests/serving_pool_test.cpp).
+/// compute, which is trivially batchable across independent client
+/// connections (`pi::ServingPool`). Every server session deposits its
+/// revealed boundary activation and blocks; one depositor runs the tail
+/// for the whole group as a single `CompiledModel::run_clear_tail` pass,
+/// and the rest pick up their row. Batching changes *where* the tail
+/// executes, never its result: the pass is row-independent, so
+/// per-request logits are bit-identical to unbatched serving
+/// (tests/serving_pool_test.cpp).
 ///
-/// Two closing rules cover the two callers:
-///  * **fixed** groups (`Fixed{n}`): the group closes when exactly `n`
-///    requests arrived — the batched service knows its batch size up
-///    front and waits for all of it (`abort()` wakes the group when a
-///    sibling request dies before depositing);
-///  * **windowed** groups (`Windowed{max_group, window}`): the group
-///    closes when `max_group` requests arrived or `window` elapsed since
-///    the group's first arrival — concurrent TCP clients reach the
-///    boundary at unpredictable times, so the window bounds the latency
-///    a lone request pays for the chance to batch, and `max_group`
-///    (typically the serving pool's worker count, an upper bound on
-///    concurrent sessions) closes a full group with zero extra wait.
+/// A group closes when `max_group` requests arrived or `window` elapsed
+/// since the group's first arrival: concurrent TCP clients reach the
+/// boundary at unpredictable times, so the window bounds the latency a
+/// lone request pays for the chance to batch, and `max_group` (the
+/// serving pool's worker count, an upper bound on concurrent sessions)
+/// closes a full group with zero extra wait.
 
 #include <chrono>
 #include <condition_variable>
@@ -39,25 +32,8 @@ namespace c2pi::pi {
 
 class TailBatcher {
 public:
-    /// Secondary failure: a sibling request died, so a fixed group can
-    /// never fill. Distinct from Error so callers can surface the
-    /// sibling's root cause instead of this consequence.
-    struct Aborted final : Error {
-        Aborted() : Error("batched clear tail aborted: a sibling request failed") {}
-    };
-
-    /// Fixed-size groups of exactly `expected` requests (batched service).
-    struct Fixed {
-        std::size_t expected;
-    };
-    /// Open groups closed by arrival count or elapsed time (serving pool).
-    struct Windowed {
-        std::size_t max_group;
-        std::chrono::milliseconds window;
-    };
-
-    TailBatcher(const CompiledModel& model, Fixed mode);
-    TailBatcher(const CompiledModel& model, Windowed mode);
+    TailBatcher(const CompiledModel& model, std::size_t max_group,
+                std::chrono::milliseconds window);
     ~TailBatcher() = default;
 
     TailBatcher(const TailBatcher&) = delete;
@@ -67,14 +43,8 @@ public:
     /// block until this request's group has run its batched pass, and
     /// return this request's logits row [1, classes]. Thread-safe; meant
     /// to be called from `ServerSession::run`'s TailFn. Rethrows the
-    /// pass's exception to every member of a failed group, and Aborted
-    /// to a fixed group whose sibling died.
+    /// pass's exception to every member of a failed group.
     [[nodiscard]] Tensor run(const Tensor& activation);
-
-    /// Fixed mode: mark the current group as unfillable (a sibling
-    /// request failed before depositing) and wake its members with
-    /// Aborted. Subsequent run() calls throw Aborted immediately.
-    void abort();
 
     /// Batched passes executed so far.
     [[nodiscard]] std::uint64_t batches() const;
@@ -83,9 +53,8 @@ public:
 
 private:
     /// One rendezvous group: the deposits that will share a single
-    /// run_clear_tail pass. Held by shared_ptr because in windowed mode
-    /// a closed group computes its pass while new arrivals already form
-    /// the next group.
+    /// run_clear_tail pass. Held by shared_ptr because a closed group
+    /// computes its pass while new arrivals already form the next group.
     struct Group {
         Tensor activations;  ///< [capacity, ...boundary shape], filled to `arrived`
         Tensor logits;       ///< [arrived, classes] once done
@@ -93,7 +62,7 @@ private:
         bool closed = false;  ///< no further deposits join this group
         bool done = false;    ///< logits ready
         std::exception_ptr error;
-        std::chrono::steady_clock::time_point deadline;  ///< windowed mode only
+        std::chrono::steady_clock::time_point deadline;
     };
 
     /// Close `group` (detaching it as the current group) and run its
@@ -103,13 +72,11 @@ private:
 
     const CompiledModel* model_;
     const std::size_t target_;  ///< group size that closes with zero wait
-    const std::chrono::milliseconds window_;  ///< <0 in fixed mode
-    const bool fixed_;
+    const std::chrono::milliseconds window_;
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::shared_ptr<Group> current_;  ///< open group, or null
-    bool aborted_ = false;
     std::uint64_t batches_ = 0;
     std::uint64_t requests_ = 0;
 };

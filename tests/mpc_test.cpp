@@ -268,9 +268,10 @@ TEST(HeConv, SharesSumToPlaintextConv) {
             std::llround(0.1 * static_cast<double>(i + 1) * fx.fmt.scale() * fx.fmt.scale())));
 
     auto [x0, x1] = make_shares(x, 17);
+    const ConvLayerCache cache(fx.bfv, geo, w, bias);
     std::vector<Ring> y0, y1;
-    fx.run([&](PartyContext& ctx) { y0 = he_conv_server(ctx, geo, w, bias, x0); },
-           [&](PartyContext& ctx) { y1 = he_conv_client(ctx, geo, x1); });
+    fx.run([&](PartyContext& ctx) { y0 = he_conv_server(ctx, cache, x0); },
+           [&](PartyContext& ctx) { y1 = he_conv_client(ctx, cache.enc, x1); });
 
     auto want = ring_conv2d(geo, x, w);
     const std::int64_t pixels = geo.out_h() * geo.out_w();
@@ -293,9 +294,10 @@ TEST(HeConv, MultiGroupGeometry) {
         v = static_cast<Ring>(static_cast<std::int64_t>(rng.next_u64() % 1001) - 500);
 
     auto [x0, x1] = make_shares(x, 19);
+    const ConvLayerCache cache(fx.bfv, geo, w, {});
     std::vector<Ring> y0, y1;
-    fx.run([&](PartyContext& ctx) { y0 = he_conv_server(ctx, geo, w, {}, x0); },
-           [&](PartyContext& ctx) { y1 = he_conv_client(ctx, geo, x1); });
+    fx.run([&](PartyContext& ctx) { y0 = he_conv_server(ctx, cache, x0); },
+           [&](PartyContext& ctx) { y1 = he_conv_client(ctx, cache.enc, x1); });
     const auto want = ring_conv2d(geo, x, w);
     for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(y0[i] + y1[i], want[i]) << i;
 }
@@ -312,9 +314,10 @@ TEST(HeMatVec, SharesSumToPlaintextMatVec) {
     for (auto& v : bias) v = rng.next_u64() % 10000;
 
     auto [x0, x1] = make_shares(x, 21);
+    const MatVecLayerCache cache(fx.bfv, in, out, w, bias);
     std::vector<Ring> y0, y1;
-    fx.run([&](PartyContext& ctx) { y0 = he_matvec_server(ctx, in, out, w, bias, x0); },
-           [&](PartyContext& ctx) { y1 = he_matvec_client(ctx, in, out, x1); });
+    fx.run([&](PartyContext& ctx) { y0 = he_matvec_server(ctx, cache, x0); },
+           [&](PartyContext& ctx) { y1 = he_matvec_client(ctx, cache.enc, x1); });
     auto want = ring_matvec(w, x, in, out);
     for (std::size_t i = 0; i < want.size(); ++i)
         EXPECT_EQ(y0[i] + y1[i], want[i] + bias[i]) << i;

@@ -2,10 +2,9 @@
 // path (PR 3): the tentpole claim is that the optimization is
 // *transcript-preserving*. Asserted here, at three levels:
 //
-//  * mpc: the cache-based he_conv/he_matvec server against the span-based
-//    seed path — byte-identical wire transcripts (every payload compared,
-//    not just totals) and identical output shares, with and without a
-//    thread pool;
+//  * mpc: the cache-based he_conv/he_matvec server over a thread pool
+//    against the serial one — byte-identical wire transcripts (every
+//    payload compared, not just totals) and identical output shares;
 //  * session: CompiledModel{num_threads=1} vs a multi-thread artifact —
 //    bit-identical logits and identical per-phase ChannelStats across
 //    Cheetah / Delphi / full-PI / crypto-clear-with-noise;
@@ -140,18 +139,12 @@ TEST(MpcLinearParity, ConvCacheAndPoolPreserveTranscriptBytes) {
     const auto x1 = random_ring(static_cast<std::size_t>(geo.in_channels * geo.height * geo.width), 4);
 
     const he::BfvContext serial({.n = 1024, .limbs = 4, .noise_bound = 4});
-    const auto seed_path = run_recorded(
-        serial,
-        [&](mpc::PartyContext& ctx) { return mpc::he_conv_server(ctx, geo, w, bias, x0); },
-        [&](mpc::PartyContext& ctx) { return mpc::he_conv_client(ctx, geo, x1); });
-    ASSERT_GT(seed_path.server_sent.size(), 0U);
-
     const mpc::ConvLayerCache serial_cache(serial, geo, w, bias);
     const auto cached = run_recorded(
         serial,
         [&](mpc::PartyContext& ctx) { return mpc::he_conv_server(ctx, serial_cache, x0); },
         [&](mpc::PartyContext& ctx) { return mpc::he_conv_client(ctx, serial_cache.enc, x1); });
-    expect_transcripts_equal(seed_path, cached, "cache vs seed path");
+    ASSERT_GT(cached.server_sent.size(), 0U);
 
     const core::ThreadPool pool(3);
     const he::BfvContext pooled({.n = 1024, .limbs = 4, .noise_bound = 4, .pool = &pool});
@@ -160,7 +153,7 @@ TEST(MpcLinearParity, ConvCacheAndPoolPreserveTranscriptBytes) {
         pooled,
         [&](mpc::PartyContext& ctx) { return mpc::he_conv_server(ctx, pooled_cache, x0); },
         [&](mpc::PartyContext& ctx) { return mpc::he_conv_client(ctx, pooled_cache.enc, x1); });
-    expect_transcripts_equal(seed_path, parallel, "parallel cache vs seed path");
+    expect_transcripts_equal(cached, parallel, "parallel cache vs serial cache");
 }
 
 TEST(MpcLinearParity, MatvecCacheAndPoolPreserveTranscriptBytes) {
@@ -171,10 +164,11 @@ TEST(MpcLinearParity, MatvecCacheAndPoolPreserveTranscriptBytes) {
     const auto x1 = random_ring(static_cast<std::size_t>(in), 8);
 
     const he::BfvContext serial({.n = 1024, .limbs = 4, .noise_bound = 4});
-    const auto seed_path = run_recorded(
+    const mpc::MatVecLayerCache serial_cache(serial, in, out, w, bias);
+    const auto cached = run_recorded(
         serial,
-        [&](mpc::PartyContext& ctx) { return mpc::he_matvec_server(ctx, in, out, w, bias, x0); },
-        [&](mpc::PartyContext& ctx) { return mpc::he_matvec_client(ctx, in, out, x1); });
+        [&](mpc::PartyContext& ctx) { return mpc::he_matvec_server(ctx, serial_cache, x0); },
+        [&](mpc::PartyContext& ctx) { return mpc::he_matvec_client(ctx, serial_cache.enc, x1); });
 
     const core::ThreadPool pool(3);
     const he::BfvContext pooled({.n = 1024, .limbs = 4, .noise_bound = 4, .pool = &pool});
@@ -183,7 +177,7 @@ TEST(MpcLinearParity, MatvecCacheAndPoolPreserveTranscriptBytes) {
         pooled,
         [&](mpc::PartyContext& ctx) { return mpc::he_matvec_server(ctx, cache, x0); },
         [&](mpc::PartyContext& ctx) { return mpc::he_matvec_client(ctx, cache.enc, x1); });
-    expect_transcripts_equal(seed_path, parallel, "parallel cache vs seed path");
+    expect_transcripts_equal(cached, parallel, "parallel cache vs serial cache");
 
     // The correctness of the shares themselves: reconstruct and compare
     // against the plain ring matvec (scale 2f).

@@ -3,8 +3,9 @@
 // within fixed-point tolerance; C2PI must agree with plaintext when noise
 // is off, hide the clear layers, and cost less than full PI; Algorithm 1
 // is unit-tested with a scripted IDPA. Concurrency and batching tests
-// for the serving API live in service_test.cpp; the ModelArtifact codec
-// and the weightless-client path live in artifact_test.cpp.
+// for the serving API live in service_test.cpp and serving_pool_test.cpp;
+// the ModelArtifact codec and the weightless-client path live in
+// artifact_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,8 @@
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
 #include "nn/trainer.hpp"
-#include "pi/c2pi.hpp"
+#include "pi/boundary.hpp"
+#include "pi/session.hpp"
 
 namespace c2pi::pi {
 namespace {
@@ -297,21 +299,24 @@ TEST(BoundarySearch, SsimSweepIsTailToHead) {
     EXPECT_GE(result.ssim_sweep.back().avg_ssim, cfg.ssim_threshold);
 }
 
-TEST(C2piSystem, EndToEndWithScriptedAttack) {
+TEST(C2piPipeline, EndToEndWithScriptedAttack) {
+    // Algorithm 1 -> compile once -> private inference, with the boundary
+    // config's lambda handed to the session.
     BoundaryFixture fx;
-    C2piOptions opts;
-    opts.backend = PiBackend::kCheetah;
-    opts.he_ring_degree = 1024;
-    opts.boundary.attack_eval_samples = 4;
-    opts.boundary.max_accuracy_drop = 1.0;
-    opts.boundary.noise_lambda = 0.05F;
-    C2piSystem system(
-        fx.model, fx.dataset, [&] { return std::make_unique<ScriptedIdpa>(2.0, fx.dataset); },
-        opts);
-    EXPECT_GT(system.boundary().boundary.as_decimal(), 2.0);
+    BoundaryConfig cfg;
+    cfg.attack_eval_samples = 4;
+    cfg.max_accuracy_drop = 1.0;
+    cfg.noise_lambda = 0.05F;
+    const auto found = search_boundary(
+        fx.model, fx.dataset, [&] { return std::make_unique<ScriptedIdpa>(2.0, fx.dataset); }, cfg);
+    EXPECT_GT(found.boundary.as_decimal(), 2.0);
 
     const auto& img = fx.dataset.test()[0].image;
-    const auto res = system.infer(img.reshaped({1, 3, 16, 16}));
+    const CompiledModel compiled(
+        fx.model, {.input_chw = img.shape(), .boundary = found.boundary, .he_ring_degree = 1024});
+    const auto res = run_private_inference(
+        compiled, SessionConfig{.backend = PiBackend::kCheetah, .noise_lambda = cfg.noise_lambda},
+        img.reshaped({1, 3, 16, 16}));
     EXPECT_EQ(res.logits.dim(1), 10);
     EXPECT_GT(res.hidden_linear_ops, 0);
 }

@@ -1,10 +1,8 @@
 // Serve-many API tests: one const CompiledModel shared by many concurrent
 // ServerSession/ClientSession pairs must produce bit-identical logits to
-// sequential runs; batched InferenceService output must match independent
-// run() calls request-for-request (same per-phase ChannelStats) while
-// executing the revealed clear tail as exactly ONE batched plaintext
-// pass; option validation must reject bad formats/ring degrees/boundaries
-// at the API boundary with typed c2pi::Error.
+// sequential runs; option validation must reject bad formats/ring
+// degrees/boundaries at the API boundary with typed c2pi::Error.
+// Cross-client tail batching is covered in serving_pool_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +10,7 @@
 
 #include "nn/layers.hpp"
 #include "nn/sequential.hpp"
-#include "pi/service.hpp"
+#include "pi/session.hpp"
 
 namespace c2pi::pi {
 namespace {
@@ -106,86 +104,6 @@ TEST(CompiledModelSharing, FullPiConcurrentSessionsAlsoDeterministic) {
     for (auto& t : threads) t.join();
     for (std::size_t i = 0; i < kSessions; ++i)
         EXPECT_TRUE(concurrent[i].allclose(sequential[i], 0.0F)) << "session " << i;
-}
-
-// -------------------------------------------------------------- batching ---
-
-TEST(InferenceService, BatchMatchesIndependentRuns) {
-    const nn::Sequential model = make_test_model();
-    auto copts = small_compile_options();
-    copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
-    const CompiledModel compiled(model, copts);
-    const InferenceService service(compiled, SessionConfig{.noise_lambda = 0.1F, .seed = 5});
-
-    constexpr std::size_t kBatch = 4;
-    const auto inputs = make_inputs(kBatch);
-    const auto batch = service.run_batch(inputs);
-    ASSERT_EQ(batch.results.size(), kBatch);
-
-    for (std::size_t i = 0; i < kBatch; ++i) {
-        const PiResult individual = service.run(inputs[i]);
-        ASSERT_TRUE(batch.results[i].logits.same_shape(individual.logits)) << i;
-        EXPECT_TRUE(batch.results[i].logits.allclose(individual.logits, 0.0F))
-            << "request " << i << " differs between batched and independent serving";
-        // Per-phase traffic accounting must be request-for-request
-        // identical: batching changes where the tail executes, not the
-        // protocol transcript.
-        EXPECT_EQ(batch.results[i].stats.offline_bytes, individual.stats.offline_bytes) << i;
-        EXPECT_EQ(batch.results[i].stats.online_bytes, individual.stats.online_bytes) << i;
-        EXPECT_EQ(batch.results[i].stats.offline_flights, individual.stats.offline_flights) << i;
-        EXPECT_EQ(batch.results[i].stats.online_flights, individual.stats.online_flights) << i;
-    }
-
-    // The aggregate traffic is the sum over requests.
-    std::uint64_t bytes = 0;
-    for (const auto& r : batch.results) bytes += r.stats.total_bytes();
-    EXPECT_EQ(batch.aggregate.total_bytes(), bytes);
-}
-
-TEST(InferenceService, BatchedClearTailIsASinglePass) {
-    const nn::Sequential model = make_test_model();
-    auto copts = small_compile_options();
-    copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
-    const CompiledModel compiled(model, copts);
-    const InferenceService service(compiled, SessionConfig{.seed = 5});
-
-    constexpr std::size_t kBatch = 5;
-    const auto inputs = make_inputs(kBatch);
-
-    const std::uint64_t passes_before = compiled.clear_tail_passes();
-    const auto batch = service.run_batch(inputs);
-    EXPECT_EQ(compiled.clear_tail_passes() - passes_before, 1U)
-        << "a batch must coalesce all clear tails into one plaintext pass";
-
-    // By contrast, independent serving pays one pass per request.
-    for (const auto& x : inputs) (void)service.run(x);
-    EXPECT_EQ(compiled.clear_tail_passes() - passes_before, 1U + kBatch);
-
-    for (const auto& r : batch.results) {
-        EXPECT_EQ(r.crypto_linear_ops, 2);
-        EXPECT_EQ(r.hidden_linear_ops, 2);
-    }
-}
-
-TEST(InferenceService, FullPiBatchHasNoClearTail) {
-    const nn::Sequential model = make_test_model();
-    const CompiledModel compiled(model, small_compile_options());
-    const InferenceService service(compiled, SessionConfig{});
-
-    const auto inputs = make_inputs(2);
-    const auto batch = service.run_batch(inputs);
-    EXPECT_EQ(compiled.clear_tail_passes(), 0U);
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const PiResult individual = service.run(inputs[i]);
-        EXPECT_TRUE(batch.results[i].logits.allclose(individual.logits, 0.0F)) << i;
-    }
-}
-
-TEST(InferenceService, EmptyBatchIsRejected) {
-    const nn::Sequential model = make_test_model();
-    const CompiledModel compiled(model, small_compile_options());
-    const InferenceService service(compiled, SessionConfig{});
-    EXPECT_THROW((void)service.run_batch({}), Error);
 }
 
 // ------------------------------------------------------------ validation ---

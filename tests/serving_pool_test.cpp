@@ -4,7 +4,8 @@
 // drain() must finish every admitted session; aggregate stats must sum
 // the per-session accounting exactly; and the windowed TailBatcher must
 // coalesce the clear tails of concurrent clients into ONE plaintext pass
-// without changing any client's logits.
+// without changing any client's logits or per-phase traffic (a full-PI
+// model has no tail to batch and must serve without a batcher).
 
 #include <gtest/gtest.h>
 
@@ -37,10 +38,15 @@ nn::Sequential make_test_model(std::uint64_t seed = 7) {
     return m;
 }
 
-CompiledModel::Options boundary_compile_options() {
+CompiledModel::Options full_pi_compile_options() {
     CompiledModel::Options opts;
     opts.input_chw = {3, 16, 16};
     opts.he_ring_degree = 1024;
+    return opts;
+}
+
+CompiledModel::Options boundary_compile_options() {
+    CompiledModel::Options opts = full_pi_compile_options();
     opts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
     return opts;
 }
@@ -146,9 +152,9 @@ TEST(ServingPool, WindowedTailCoalescesAcrossClientsBitIdentically) {
 
     constexpr std::size_t kClients = 3;
     const auto inputs = make_inputs(kClients);
-    std::vector<Tensor> reference;
+    std::vector<PiResult> reference;
     for (const auto& x : inputs)
-        reference.push_back(run_private_inference(compiled, config, x).logits);
+        reference.push_back(run_private_inference(compiled, config, x));
     const std::uint64_t passes_before = compiled.clear_tail_passes();
 
     // Window far above the crypto-phase spread; the group still closes
@@ -176,10 +182,60 @@ TEST(ServingPool, WindowedTailCoalescesAcrossClientsBitIdentically) {
     EXPECT_EQ(stats.served, kClients);
     EXPECT_EQ(stats.tail_batches, 1U);
     EXPECT_EQ(stats.tail_requests, kClients);
-    // ...without changing anyone's logits.
-    for (std::size_t i = 0; i < kClients; ++i)
-        EXPECT_TRUE(runs[i].logits.allclose(reference[i], 0.0F))
+    // ...without changing anyone's logits or protocol transcript:
+    // batching moves where the tail executes, not what goes on the wire.
+    for (std::size_t i = 0; i < kClients; ++i) {
+        EXPECT_TRUE(runs[i].logits.allclose(reference[i].logits, 0.0F))
             << "client " << i << " diverged under cross-client tail batching";
+        const PiStats& got = runs[i].stats;
+        const PiStats& want = reference[i].stats;
+        EXPECT_EQ(got.offline_bytes, want.offline_bytes) << i;
+        EXPECT_EQ(got.online_bytes, want.online_bytes) << i;
+        EXPECT_EQ(got.preprocess_bytes, want.preprocess_bytes) << i;
+        EXPECT_EQ(got.offline_flights, want.offline_flights) << i;
+        EXPECT_EQ(got.online_flights, want.online_flights) << i;
+        EXPECT_EQ(got.preprocess_flights, want.preprocess_flights) << i;
+    }
+}
+
+TEST(ServingPool, FullPiWithTailWindowBuildsNoBatcher) {
+    const nn::Sequential model = make_test_model();
+    const CompiledModel compiled(model, full_pi_compile_options());
+    const SessionConfig config{.seed = 9};
+
+    constexpr std::size_t kClients = 2;
+    const auto inputs = make_inputs(kClients);
+    std::vector<Tensor> reference;
+    for (const auto& x : inputs)
+        reference.push_back(run_private_inference(compiled, config, x).logits);
+
+    // A tail window on a full-PI model is ignored: there is no clear tail,
+    // so no session may wait at a rendezvous that would never close.
+    ServingPool pool(compiled, config,
+                     {.workers = static_cast<int>(kClients),
+                      .queue_capacity = 2,
+                      .tail_window_ms = 60'000});
+    net::TcpListener listener(0);
+
+    std::vector<ClientRun> runs(kClients);
+    std::vector<std::thread> clients;
+    for (std::size_t i = 0; i < kClients; ++i)
+        clients.emplace_back([&, i] {
+            runs[i] = run_weightless_client(listener.port(), config, inputs[i]);
+        });
+    for (std::size_t i = 0; i < kClients; ++i)
+        ASSERT_TRUE(pool.serve(listener.accept(30'000))) << "client " << i;
+    for (auto& t : clients) t.join();
+    pool.drain();
+
+    const auto stats = pool.stats();
+    EXPECT_EQ(stats.served, kClients);
+    EXPECT_EQ(stats.failed, 0U);
+    EXPECT_EQ(stats.tail_batches, 0U);
+    EXPECT_EQ(stats.tail_requests, 0U);
+    EXPECT_EQ(compiled.clear_tail_passes(), 0U);
+    for (std::size_t i = 0; i < kClients; ++i)
+        EXPECT_TRUE(runs[i].logits.allclose(reference[i], 0.0F)) << "client " << i;
 }
 
 // ------------------------------------------------------ typed rejection ---
