@@ -34,9 +34,9 @@ inline constexpr std::uint16_t kDefaultPort = 17117;
 
 /// Small conv net on 16x16 RGB inputs (the tests' reference topology:
 /// conv/pool/ReLU/FC coverage, fast enough for a CI smoke test).
-inline nn::Sequential make_demo_model() {
+inline nn::Graph make_demo_model() {
     Rng rng(7);
-    nn::Sequential m;
+    nn::Graph m;
     m.emplace<nn::Conv2d>(3, 6, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
     m.emplace<nn::Relu>();
     m.emplace<nn::MaxPool2d>(2, 2);

@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "data/synthetic.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 
 namespace c2pi::attack {
 

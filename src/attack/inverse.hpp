@@ -64,7 +64,7 @@ public:
 private:
     /// One basic inverse block: inverts one target sub-block.
     struct InverseBlock {
-        nn::Sequential net;
+        nn::Graph net;
         Shape in_shape;   ///< per-sample shape it consumes
         Shape out_shape;  ///< per-sample shape it produces
     };

@@ -209,6 +209,10 @@ private:
 ///  * `drain()` is graceful: no new submissions, every already-accepted
 ///    task still runs to completion before the workers join — an
 ///    in-flight session is never dropped;
+///  * a task may carry a `then` step that runs on the same worker AFTER
+///    its slot is freed — pi::ServingPool delivers its session report
+///    there, so a client reacting to the report is never refused for a
+///    slot that is only still held by the report itself;
 ///  * tasks must not throw (serving code reports its own failures);
 ///    a task that does throw terminates, by design — swallowing it
 ///    here would hide a serving bug.
@@ -235,13 +239,14 @@ public:
 
     /// Queue a task unless the queue is draining or the in-flight bound
     /// is reached; returns whether the task was accepted. An accepted
-    /// task is guaranteed to run, even if drain() is called right after.
-    [[nodiscard]] bool try_submit(std::function<void()> task) {
+    /// task (and its `then`, if any) is guaranteed to run, even if
+    /// drain() is called right after.
+    [[nodiscard]] bool try_submit(std::function<void()> task, std::function<void()> then = {}) {
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             if (draining_ || in_flight_ >= bound_) return false;
             ++in_flight_;
-            queue_.push_back(std::move(task));
+            queue_.push_back({std::move(task), std::move(then)});
         }
         cv_work_.notify_one();
         return true;
@@ -273,20 +278,32 @@ private:
         for (;;) {
             cv_work_.wait(lock, [&] { return stop_ || !queue_.empty(); });
             if (queue_.empty()) return;  // stop_ set and nothing left to run
-            auto task = std::move(queue_.front());
+            Job job = std::move(queue_.front());
             queue_.pop_front();
             lock.unlock();
-            task();
+            job.task();
             lock.lock();
             if (--in_flight_ == 0) cv_idle_.notify_all();
+            if (job.then) {
+                // drain() may already have seen in_flight_ == 0, but it
+                // joins this worker before returning, so `then` completes.
+                lock.unlock();
+                job.then();
+                lock.lock();
+            }
         }
     }
+
+    struct Job {
+        std::function<void()> task;
+        std::function<void()> then;  ///< runs after the slot is freed
+    };
 
     const std::size_t bound_;
     mutable std::mutex mutex_;
     std::condition_variable cv_work_;  ///< wakes workers on new tasks / stop
     std::condition_variable cv_idle_;  ///< wakes drain() when in_flight_ hits 0
-    std::deque<std::function<void()>> queue_;
+    std::deque<Job> queue_;
     std::size_t in_flight_ = 0;  ///< queued + running
     bool draining_ = false;
     bool stop_ = false;

@@ -16,9 +16,8 @@ u64 lift_signed(Ring v, u64 p) {
     return mag == 0 ? 0 : p - mag;
 }
 
-/// Divisionless lift_signed (identical values) for the per-inference
-/// paths: add_plain folds a full mask polynomial per response, so the
-/// per-coefficient division shows up in the server's online wall time.
+/// Divisionless lift_signed (identical values) for add_plain_at, which
+/// runs once per mask coefficient on the server's online path.
 u64 lift_signed_shoup(Ring v, u64 p, u64 one_shoup) {
     const auto sv = static_cast<std::int64_t>(v);
     if (sv >= 0) return reduce_mod_shoup(static_cast<u64>(sv), one_shoup, p);
@@ -80,30 +79,23 @@ BfvContext::BfvContext(Params params) : params_(params) {
     }
 
     if (params_.limbs >= 4) {
+        // Hoisted constants of the 4 -> 2 mod switch, in kernel layout.
+        auto& k = ms_consts_;
+        k.q3 = primes_[2];
+        k.q4 = primes_[3];
+        k.one_shoup_q4 = one_shoup_[3];
+        k.q3_inv = inv_mod(primes_[2] % primes_[3], primes_[3]);
+        k.q3_inv_shoup = shoup_precompute(k.q3_inv, primes_[3]);
         const u128 drop = static_cast<u128>(primes_[2]) * primes_[3];
         for (int i = 0; i < 2; ++i) {
-            const u64 p = primes_[static_cast<std::size_t>(i)];
-            drop_inv_mod_[i] = inv_mod(static_cast<u64>(drop % p), p);
-            drop_inv_shoup_[i] = shoup_precompute(drop_inv_mod_[i], p);
-            r64_mod_[i] = static_cast<u64>((static_cast<u128>(1) << 64) % p);
-            r64_shoup_[i] = shoup_precompute(r64_mod_[i], p);
-        }
-        q3_inv_mod_q4_ = inv_mod(primes_[2] % primes_[3], primes_[3]);
-        q3_inv_shoup_ = shoup_precompute(q3_inv_mod_q4_, primes_[3]);
-
-        ms_consts_.q3 = primes_[2];
-        ms_consts_.q4 = primes_[3];
-        ms_consts_.one_shoup_q4 = one_shoup_[3];
-        ms_consts_.q3_inv = q3_inv_mod_q4_;
-        ms_consts_.q3_inv_shoup = q3_inv_shoup_;
-        for (int i = 0; i < 2; ++i) {
             const auto ui = static_cast<std::size_t>(i);
-            ms_consts_.p[i] = primes_[ui];
-            ms_consts_.one_shoup[i] = one_shoup_[ui];
-            ms_consts_.r64[i] = r64_mod_[i];
-            ms_consts_.r64_shoup[i] = r64_shoup_[i];
-            ms_consts_.drop_inv[i] = drop_inv_mod_[i];
-            ms_consts_.drop_inv_shoup[i] = drop_inv_shoup_[i];
+            const u64 p = primes_[ui];
+            k.p[i] = p;
+            k.one_shoup[i] = one_shoup_[ui];
+            k.r64[i] = static_cast<u64>((static_cast<u128>(1) << 64) % p);
+            k.r64_shoup[i] = shoup_precompute(k.r64[i], p);
+            k.drop_inv[i] = inv_mod(static_cast<u64>(drop % p), p);
+            k.drop_inv_shoup[i] = shoup_precompute(k.drop_inv[i], p);
         }
     }
 }
@@ -302,35 +294,6 @@ RnsPoly BfvContext::expand_seed_poly_ntt(const crypto::Block128& seed, int limbs
     return a;
 }
 
-Ciphertext BfvContext::make_accumulator() const {
-    Ciphertext acc;
-    acc.c0 = zero_poly(params_.limbs);
-    acc.c1 = zero_poly(params_.limbs);
-    acc.c0.ntt_form = acc.c1.ntt_form = true;
-    acc.ntt_form = true;
-    acc.seed_compressed = false;
-    return acc;
-}
-
-void BfvContext::multiply_plain_accumulate(const Ciphertext& ct_ntt, const RnsPoly& plain_ntt,
-                                           Ciphertext& acc) const {
-    require(ct_ntt.ntt_form && acc.ntt_form && plain_ntt.ntt_form,
-            "multiply_plain_accumulate expects NTT operands");
-    require(ct_ntt.active_limbs() == params_.limbs, "operand must be at fresh modulus");
-    core::parallel_for(params_.pool, 0, static_cast<std::int64_t>(primes_.size()),
-                       [&](std::int64_t limb) {
-        const auto i = static_cast<std::size_t>(limb);
-        const u64 p = primes_[i];
-        const auto& w = plain_ntt.limbs[i];
-        for (std::size_t j = 0; j < params_.n; ++j) {
-            acc.c0.limbs[i][j] =
-                add_mod(acc.c0.limbs[i][j], mul_mod(ct_ntt.c0.limbs[i][j], w[j], p), p);
-            acc.c1.limbs[i][j] =
-                add_mod(acc.c1.limbs[i][j], mul_mod(ct_ntt.c1.limbs[i][j], w[j], p), p);
-        }
-    });
-}
-
 void BfvContext::multiply_plain_accumulate(const Ciphertext& ct_ntt, const PlainNtt& plain_ntt,
                                            Ciphertext& acc) const {
     require(ct_ntt.ntt_form && acc.ntt_form, "multiply_plain_accumulate expects NTT operands");
@@ -374,19 +337,6 @@ void BfvContext::multiply_plain(const Ciphertext& ct_ntt, const PlainNtt& plain_
     out.c0.ntt_form = out.c1.ntt_form = true;
     out.ntt_form = true;
     out.seed_compressed = false;
-}
-
-void BfvContext::add_plain_inplace(Ciphertext& ct, std::span<const Ring> plain) const {
-    require(!ct.ntt_form, "add_plain expects coefficient form");
-    require(ct.active_limbs() == params_.limbs,
-            "add_plain only supported at the fresh modulus (see DESIGN.md §6)");
-    require(plain.size() <= params_.n, "plain poly longer than ring degree");
-    const auto& kr = kernels::active();
-    for (std::size_t i = 0; i < primes_.size(); ++i) {
-        kr.fold_delta(ct.c0.limbs[i].data(), plain.data(), plain.size(), primes_[i],
-                      one_shoup_[i], delta_mod_[i], delta_shoup_[i]);
-    }
-    ct.seed_compressed = false;
 }
 
 void BfvContext::add_plain_at(Ciphertext& ct, std::span<const std::int64_t> positions,

@@ -35,9 +35,8 @@ struct RnsPoly {
 
 /// NTT-form plaintext with per-coefficient Shoup companions — the
 /// compile-time shape of a server weight polynomial. Built once by
-/// BfvContext::to_plain_ntt; the multiply_plain_accumulate fast path then
-/// replaces every 128-bit modular division with a Shoup high-mul.
-/// Numerically identical to multiplying the plain RnsPoly.
+/// BfvContext::to_plain_ntt; multiply_plain(_accumulate) then replaces
+/// every 128-bit modular division with a Shoup high-mul.
 struct PlainNtt {
     std::vector<std::vector<u64>> limbs;  ///< NTT-form values, [limb][coeff]
     std::vector<std::vector<u64>> shoup;  ///< floor(w * 2^64 / q_i), same layout
@@ -90,41 +89,28 @@ public:
     [[nodiscard]] std::vector<Ring> decrypt(const Ciphertext& ct, const SecretKey& sk) const;
 
     // -- homomorphic ops --------------------------------------------------------
-    /// Lift an integer polynomial (signed interpretation of Ring values)
-    /// to NTT form over the fresh modulus — used for weight plaintexts.
-    [[nodiscard]] RnsPoly lift_to_ntt(std::span<const Ring> poly) const;
-
-    /// Compile-time form of lift_to_ntt: also precomputes the per-
-    /// coefficient Shoup companions so the online multiply needs no
-    /// 128-bit division. One PlainNtt per (weight poly) is built once in
-    /// CompiledModel and reused by every inference.
+    /// Lift a weight polynomial (signed interpretation of Ring values) to
+    /// NTT form over the fresh modulus, with the per-coefficient Shoup
+    /// companions so the online multiply needs no 128-bit division. One
+    /// PlainNtt per (weight poly) is built once in CompiledModel and
+    /// reused by every inference.
     [[nodiscard]] PlainNtt to_plain_ntt(std::span<const Ring> poly) const;
 
     void to_ntt(Ciphertext& ct) const;
     void from_ntt(Ciphertext& ct) const;
 
-    /// Zero accumulator in NTT form over the fresh modulus.
-    [[nodiscard]] Ciphertext make_accumulator() const;
-    /// acc += ct * plain_ntt (all operands NTT form, fresh limbs).
-    void multiply_plain_accumulate(const Ciphertext& ct_ntt, const RnsPoly& plain_ntt,
-                                   Ciphertext& acc) const;
-    /// Fast path over a precomputed PlainNtt; bit-identical accumulator.
-    void multiply_plain_accumulate(const Ciphertext& ct_ntt, const PlainNtt& plain_ntt,
-                                   Ciphertext& acc) const;
-    /// out = ct * plain (assign variant: allocates/overwrites `out`, no
-    /// zero accumulator needed). Equals make_accumulator() followed by
-    /// multiply_plain_accumulate, minus the zero-fill and adds.
+    /// out = ct * plain (allocates/overwrites `out`; ct in NTT form at the
+    /// fresh modulus). Starts an accumulation over input groups.
     void multiply_plain(const Ciphertext& ct_ntt, const PlainNtt& plain_ntt,
                         Ciphertext& out) const;
+    /// acc += ct * plain (all operands NTT form, fresh limbs).
+    void multiply_plain_accumulate(const Ciphertext& ct_ntt, const PlainNtt& plain_ntt,
+                                   Ciphertext& acc) const;
 
-    /// c0 += Δ * plain   (coefficient form). Used by the server to fold
-    /// its own plaintext contribution / fresh share mask into a response.
-    void add_plain_inplace(Ciphertext& ct, std::span<const Ring> plain) const;
-
-    /// Sparse add_plain: c0[positions[i]] += Δ * values[i]. Identical to
-    /// add_plain_inplace over the scatter polynomial (zero everywhere
-    /// else), but touches only the populated coefficients — the response
-    /// masks of the linear layers live at a few known output positions.
+    /// c0[positions[i]] += Δ * values[i] (coefficient form, fresh limbs).
+    /// The server folds its fresh share mask into a response this way:
+    /// the linear layers' outputs live at a few known coefficient
+    /// positions, and every other coefficient is left untouched.
     void add_plain_at(Ciphertext& ct, std::span<const std::int64_t> positions,
                       std::span<const Ring> values) const;
 
@@ -148,6 +134,7 @@ public:
     [[nodiscard]] u64 delta_mod(int limb) const { return delta_mod_[static_cast<std::size_t>(limb)]; }
 
 private:
+    [[nodiscard]] RnsPoly lift_to_ntt(std::span<const Ring> poly) const;
     [[nodiscard]] RnsPoly zero_poly(int limbs) const;
     [[nodiscard]] RnsPoly uniform_poly_from_seed(const crypto::Block128& seed, int limbs) const;
     void poly_ntt(RnsPoly& p) const;
@@ -159,14 +146,7 @@ private:
     std::vector<u64> delta_mod_;          ///< Δ mod q_i (fresh modulus)
     std::vector<u64> delta_shoup_;        ///< Shoup companions of Δ mod q_i
     std::vector<u64> one_shoup_;          ///< floor(2^64 / q_i) for divisionless a mod q_i
-    std::vector<u64> delta2_mod_;         ///< Δ' = floor(q1q2 / t) mod q_i, i<2
-    u64 drop_inv_mod_[2] = {};            ///< (q3 q4)^{-1} mod q_i for the switch
-    u64 drop_inv_shoup_[2] = {};
-    u64 r64_mod_[2] = {};                 ///< 2^64 mod q_i (CRT-compose reduction)
-    u64 r64_shoup_[2] = {};
-    u64 q3_inv_mod_q4_ = 0;               ///< q3^{-1} mod q4, hoisted out of mod switch
-    u64 q3_inv_shoup_ = 0;
-    kernels::ModSwitchConsts ms_consts_;  ///< the same constants, kernel layout
+    kernels::ModSwitchConsts ms_consts_;  ///< hoisted 4 -> 2 mod-switch constants
 };
 
 }  // namespace c2pi::he

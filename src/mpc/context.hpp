@@ -38,8 +38,8 @@ public:
                      /*nonce=*/static_cast<std::uint64_t>(transport.party_id()) + 200) {
         // Two base-OT setups, one per sender direction. Both parties derive
         // them deterministically from the session seed (trusted-dealer
-        // substitution, DESIGN.md §4); the replaced Naor-Pinkas traffic is
-        // charged to whoever first touches the channel in setup_charged().
+        // substitution, DESIGN.md §4); the server sends the replaced
+        // Naor-Pinkas traffic as the offline dealer-setup message.
         const auto setup_a = crypto::dealer_base_ots(
             crypto::Block128{session_seed.lo ^ 0xA, session_seed.hi});
         const auto setup_b = crypto::dealer_base_ots(

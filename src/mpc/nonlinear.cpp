@@ -140,25 +140,20 @@ std::vector<Ring> gc_batch_evaluator(PartyContext& ctx, const crypto::Circuit& c
     return out;
 }
 
-std::vector<Ring> pick_fresh(PartyContext& ctx, std::span<const Ring> pinned, std::size_t n) {
+/// The garbler's (client's) fresh output share, drawn from its party PRG.
+std::vector<Ring> pick_fresh(PartyContext& ctx, std::size_t n) {
     std::vector<Ring> fresh(n);
-    if (pinned.empty()) {
-        for (auto& v : fresh) v = ctx.prg().next_u64();
-    } else {
-        require(pinned.size() == n, "client_fresh_share size mismatch");
-        std::copy(pinned.begin(), pinned.end(), fresh.begin());
-    }
+    for (auto& v : fresh) v = ctx.prg().next_u64();
     return fresh;
 }
 
-std::vector<Ring> relu_shares_gc(PartyContext& ctx, std::span<const Ring> y_share,
-                                 std::span<const Ring> client_fresh_share) {
+std::vector<Ring> relu_shares_gc(PartyContext& ctx, std::span<const Ring> y_share) {
     const std::size_t n = y_share.size();
     static const crypto::Circuit circuit = crypto::build_relu_circuit(64);
     if (ctx.is_server()) {
         return gc_batch_evaluator(ctx, circuit, {y_share}, n);
     }
-    const auto fresh = pick_fresh(ctx, client_fresh_share, n);
+    const auto fresh = pick_fresh(ctx, n);
     std::vector<Ring> neg_r(n);
     for (std::size_t i = 0; i < n; ++i) neg_r[i] = Ring{0} - fresh[i];
     gc_batch_garbler(ctx, circuit, {y_share}, neg_r);
@@ -188,14 +183,14 @@ std::vector<Ring> relu_shares_fss(PartyContext& ctx, std::span<const Ring> y_sha
     return fss::eval_relu_batch(keys, ctx.party(), z, threads);
 }
 
-/// max(a, b) = a + ReLU(b - a), elementwise over shares (FSS flavour of
-/// millionaire.hpp's max_pairwise_ot).
-std::vector<Ring> max_pairwise_fss(PartyContext& ctx, std::span<const Ring> a,
-                                   std::span<const Ring> b) {
-    require(a.size() == b.size(), "max_pairwise_fss size mismatch");
+/// max(a, b) = a + ReLU(b - a), elementwise over shares: one round of
+/// the OT/FSS MaxPool tournament (CrypTFlow2's pairwise max).
+std::vector<Ring> max_pairwise(PartyContext& ctx, std::span<const Ring> a,
+                               std::span<const Ring> b, NonlinearBackend backend) {
+    require(a.size() == b.size(), "max operand size mismatch");
     std::vector<Ring> diff(a.size());
     for (std::size_t i = 0; i < a.size(); ++i) diff[i] = b[i] - a[i];
-    auto out = relu_shares_fss(ctx, diff);
+    auto out = secure_relu(ctx, diff, backend);
     for (std::size_t i = 0; i < a.size(); ++i) out[i] += a[i];
     return out;
 }
@@ -203,17 +198,14 @@ std::vector<Ring> max_pairwise_fss(PartyContext& ctx, std::span<const Ring> a,
 }  // namespace
 
 std::vector<Ring> secure_relu(PartyContext& ctx, std::span<const Ring> y_share,
-                              NonlinearBackend backend,
-                              std::span<const Ring> client_fresh_share) {
-    if (backend == NonlinearBackend::kGarbledCircuit)
-        return relu_shares_gc(ctx, y_share, client_fresh_share);
+                              NonlinearBackend backend) {
+    if (backend == NonlinearBackend::kGarbledCircuit) return relu_shares_gc(ctx, y_share);
     if (backend == NonlinearBackend::kFss) return relu_shares_fss(ctx, y_share);
     return relu_shares_ot(ctx, y_share);
 }
 
 RingTensor secure_maxpool(PartyContext& ctx, const RingTensor& x_share, std::int64_t kernel,
-                          std::int64_t stride, NonlinearBackend backend,
-                          std::span<const Ring> client_fresh_share) {
+                          std::int64_t stride, NonlinearBackend backend) {
     require(x_share.shape.size() == 3, "secure_maxpool expects [C,H,W] shares");
     const std::int64_t c = x_share.shape[0], h = x_share.shape[1], w = x_share.shape[2];
     const std::int64_t oh = (h - kernel) / stride + 1;
@@ -249,7 +241,7 @@ RingTensor secure_maxpool(PartyContext& ctx, const RingTensor& x_share, std::int
         if (ctx.is_server()) {
             result = gc_batch_evaluator(ctx, circuit, spans, windows);
         } else {
-            const auto fresh = pick_fresh(ctx, client_fresh_share, windows);
+            const auto fresh = pick_fresh(ctx, windows);
             std::vector<Ring> neg_r(windows);
             for (std::size_t i = 0; i < windows; ++i) neg_r[i] = Ring{0} - fresh[i];
             gc_batch_garbler(ctx, circuit, spans, neg_r);
@@ -261,9 +253,7 @@ RingTensor secure_maxpool(PartyContext& ctx, const RingTensor& x_share, std::int
         while (round.size() > 1) {
             std::vector<std::vector<Ring>> next;
             for (std::size_t i = 0; i + 1 < round.size(); i += 2)
-                next.push_back(backend == NonlinearBackend::kFss
-                                   ? max_pairwise_fss(ctx, round[i], round[i + 1])
-                                   : max_pairwise_ot(ctx, round[i], round[i + 1]));
+                next.push_back(max_pairwise(ctx, round[i], round[i + 1], backend));
             if (round.size() % 2 == 1) next.push_back(std::move(round.back()));
             round = std::move(next);
         }

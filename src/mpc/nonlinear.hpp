@@ -6,9 +6,7 @@
 ///
 ///  * kGarbledCircuit — Delphi-style: the client garbles ReLU/Max circuits
 ///    (tables shipped in the offline phase), the server evaluates online
-///    and ends up holding the freshly re-shared output. The client's
-///    output share can be pinned via `client_fresh_share` so the Delphi
-///    engine can pre-commit its offline masks.
+///    and ends up holding the freshly re-shared output.
 ///  * kOtMillionaire — Cheetah-style: DReLU via the radix-16 millionaire
 ///    protocol + COT multiplexer (see millionaire.hpp), online-only.
 ///  * kFss — function-secret-sharing comparisons (fss/compare.hpp):
@@ -25,19 +23,17 @@ namespace c2pi::mpc {
 
 enum class NonlinearBackend { kGarbledCircuit, kOtMillionaire, kFss };
 
-/// Batched secure ReLU. `client_fresh_share` (client side, GC backend
-/// only) pins the client's output share; pass empty to draw from the
-/// party PRG. Server must pass empty.
+/// Batched secure ReLU: this party's share of relu(y), elementwise.
 [[nodiscard]] std::vector<Ring> secure_relu(PartyContext& ctx, std::span<const Ring> y_share,
-                                            NonlinearBackend backend,
-                                            std::span<const Ring> client_fresh_share = {});
+                                            NonlinearBackend backend);
 
 /// Secure MaxPool over an NCHW share tensor (kernel k, stride s, square,
-/// non-overlapping as in the paper's models). Returns pooled shares.
+/// non-overlapping as in the paper's models). Returns pooled shares. GC
+/// evaluates one max circuit per window; OT and FSS run a tournament of
+/// pairwise max(a, b) = a + ReLU(b - a).
 [[nodiscard]] RingTensor secure_maxpool(PartyContext& ctx, const RingTensor& x_share,
                                         std::int64_t kernel, std::int64_t stride,
-                                        NonlinearBackend backend,
-                                        std::span<const Ring> client_fresh_share = {});
+                                        NonlinearBackend backend);
 
 /// Reveal additive shares to both parties (each sends its share).
 [[nodiscard]] std::vector<Ring> reveal_shares(PartyContext& ctx, std::span<const Ring> share);

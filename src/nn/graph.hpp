@@ -9,8 +9,8 @@
 /// a Layer applied to the output of one earlier node, or an explicit
 /// residual-add joining two earlier nodes. Node -1 (kInput) denotes the
 /// graph input. Edges always point backward, so evaluation is a single
-/// forward sweep; Sequential (sequential.hpp) is the trivially-linear
-/// special case every pre-DAG call site was written against.
+/// forward sweep; a chain model (every node consumes its predecessor) is
+/// the trivially-linear special case.
 ///
 /// Cut-point convention (paper §II "Notations"): linear ops (Conv2d /
 /// Linear) are numbered 1..n; "layer 3" is the third linear op and "layer
@@ -82,8 +82,8 @@ public:
     /// for non-add nodes, meaning "unused").
     [[nodiscard]] std::int64_t input1(std::size_t i) const { return nodes_.at(i).input1; }
 
-    /// True when every chain edge is i-1 and no skip edges exist — such a
-    /// graph is behaviorally a Sequential.
+    /// True when every chain edge is i-1 and no skip edges exist (a plain
+    /// layer chain).
     [[nodiscard]] bool is_linear_chain() const;
     /// True when no edge from a later node reaches back past node i, i.e.
     /// cutting after node i separates the graph. Only articulation points
@@ -143,9 +143,5 @@ private:
 
     std::vector<Node> nodes_;
 };
-
-/// Shape of M_l(x) for a given input shape, computed by a cache-free dry run.
-[[nodiscard]] Shape activation_shape(const Graph& model, const CutPoint& cut,
-                                     const Shape& input_shape);
 
 }  // namespace c2pi::nn

@@ -17,9 +17,9 @@ constexpr std::int64_t kPool = -1;  // sentinel in VGG channel plans
 
 /// Build a VGG-style feature extractor from a channel plan, then a single
 /// FC classifier (the CIFAR-VGG convention).
-Sequential make_vgg(const std::vector<std::int64_t>& plan, const ModelConfig& cfg) {
+Graph make_vgg(const std::vector<std::int64_t>& plan, const ModelConfig& cfg) {
     Rng rng(cfg.seed);
-    Sequential model;
+    Graph model;
     std::int64_t channels = cfg.input_channels;
     std::int64_t hw = cfg.input_hw;
     for (const auto entry : plan) {
@@ -41,9 +41,9 @@ Sequential make_vgg(const std::vector<std::int64_t>& plan, const ModelConfig& cf
 
 }  // namespace
 
-Sequential make_alexnet(const ModelConfig& cfg) {
+Graph make_alexnet(const ModelConfig& cfg) {
     Rng rng(cfg.seed);
-    Sequential model;
+    Graph model;
     const auto ch = [&](std::int64_t base) { return scaled_channels(base, cfg.width_multiplier); };
     std::int64_t hw = cfg.input_hw;
 
@@ -73,14 +73,14 @@ Sequential make_alexnet(const ModelConfig& cfg) {
     return model;
 }
 
-Sequential make_vgg16(const ModelConfig& cfg) {
+Graph make_vgg16(const ModelConfig& cfg) {
     // 13 convs: 64x2 M 128x2 M 256x3 M 512x3 M 512x3 M
     const std::vector<std::int64_t> plan = {64,  64,  kPool, 128, 128, kPool, 256, 256, 256, kPool,
                                             512, 512, 512,  kPool, 512, 512, 512, kPool};
     return make_vgg(plan, cfg);
 }
 
-Sequential make_vgg19(const ModelConfig& cfg) {
+Graph make_vgg19(const ModelConfig& cfg) {
     // 16 convs: 64x2 M 128x2 M 256x4 M 512x4 M 512x4 M
     const std::vector<std::int64_t> plan = {64,  64,  kPool, 128, 128, kPool, 256, 256,
                                             256, 256, kPool, 512, 512, 512,  512, kPool,

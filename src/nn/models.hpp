@@ -9,7 +9,7 @@
 /// 2). Prefer the typed registry in nn/zoo.hpp for building by id.
 
 #include "core/rng.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 
 namespace c2pi::nn {
 
@@ -23,13 +23,13 @@ struct ModelConfig {
 
 /// AlexNet CIFAR variant: 5 conv layers + 3 FC layers (8 linear ops; the
 /// paper's Fig. 8 sweeps ids 1..7, excluding the classifier output).
-[[nodiscard]] Sequential make_alexnet(const ModelConfig& config);
+[[nodiscard]] Graph make_alexnet(const ModelConfig& config);
 
 /// VGG16 CIFAR variant: 13 conv layers + 1 FC classifier.
-[[nodiscard]] Sequential make_vgg16(const ModelConfig& config);
+[[nodiscard]] Graph make_vgg16(const ModelConfig& config);
 
 /// VGG19 CIFAR variant: 16 conv layers + 1 FC classifier.
-[[nodiscard]] Sequential make_vgg19(const ModelConfig& config);
+[[nodiscard]] Graph make_vgg19(const ModelConfig& config);
 
 /// ResNet-9 CIFAR variant: conv stem, two basic blocks with identity
 /// skips, GlobalAvgPool head (8 linear ops after BN folding). Requires

@@ -15,18 +15,15 @@ struct Entry {
     Builder build;
 };
 
-// Chain models come back as Sequential; the Graph return type moves the
-// base subobject, which owns everything.
-Graph build_alexnet(const ModelConfig& c) { return make_alexnet(c); }
-Graph build_vgg16(const ModelConfig& c) { return make_vgg16(c); }
-Graph build_vgg19(const ModelConfig& c) { return make_vgg19(c); }
+// The residual builders take a defaulted fold_bn flag, so they need a
+// one-argument wrapper to fit Builder.
 Graph build_resnet9(const ModelConfig& c) { return make_resnet9(c); }
 Graph build_resnet18(const ModelConfig& c) { return make_resnet18(c); }
 
 constexpr Entry kEntries[] = {
-    {"alexnet", "AlexNet CIFAR variant: 5 conv + 3 FC", false, build_alexnet},
-    {"vgg16", "VGG16 CIFAR variant: 13 conv + 1 FC", false, build_vgg16},
-    {"vgg19", "VGG19 CIFAR variant: 16 conv + 1 FC", false, build_vgg19},
+    {"alexnet", "AlexNet CIFAR variant: 5 conv + 3 FC", false, make_alexnet},
+    {"vgg16", "VGG16 CIFAR variant: 13 conv + 1 FC", false, make_vgg16},
+    {"vgg19", "VGG19 CIFAR variant: 16 conv + 1 FC", false, make_vgg19},
     {"resnet9", "ResNet-9: 2 basic blocks, BN-folded, GlobalAvgPool head", true,
      build_resnet9},
     {"resnet18", "ResNet-18: 4 stages x 2 basic blocks, BN-folded", true, build_resnet18},

@@ -71,8 +71,18 @@ bool ServingPool::serve(std::unique_ptr<net::TcpTransport> transport) {
         const std::lock_guard<std::mutex> lock(mutex_);
         index = ++stats_.accepted;
     }
-    const bool admitted =
-        queue_.try_submit([this, shared, index] { serve_one(*shared, index); });
+    // The report is delivered in the queue's `then` step, after the
+    // session's admission slot is freed.
+    auto report = std::make_shared<SessionReport>();
+    const bool admitted = queue_.try_submit(
+        [this, shared, index, report] { *report = serve_one(*shared, index); },
+        [this, report] {
+            if (!on_session_) return;
+            // Serialized on its own mutex so one slow observer (stdout)
+            // never blocks a stats() reader.
+            const std::lock_guard<std::mutex> lock(report_mutex_);
+            on_session_(*report);
+        });
     if (!admitted) {
         {
             const std::lock_guard<std::mutex> lock(mutex_);
@@ -93,7 +103,8 @@ bool ServingPool::serve(std::unique_ptr<net::TcpTransport> transport) {
     return admitted;
 }
 
-void ServingPool::serve_one(net::TcpTransport& transport, std::uint64_t index) noexcept {
+ServingPool::SessionReport ServingPool::serve_one(net::TcpTransport& transport,
+                                                  std::uint64_t index) noexcept {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.active;
@@ -151,12 +162,7 @@ void ServingPool::serve_one(net::TcpTransport& transport, std::uint64_t index) n
             ++stats_.failed_by_class[static_cast<int>(report.failure)];
         }
     }
-    if (on_session_) {
-        // Serialized on its own mutex so one slow observer (stdout) never
-        // blocks a stats() reader.
-        const std::lock_guard<std::mutex> lock(report_mutex_);
-        on_session_(report);
-    }
+    return report;
 }
 
 void ServingPool::drain() { queue_.drain(); }

@@ -126,7 +126,9 @@ public:
 
     /// The pool serializes the model's artifact once; every session
     /// ships the same bytes. `on_session` (optional) observes each
-    /// session's outcome — pi_server uses it for per-client log lines.
+    /// session's outcome — pi_server uses it for per-client log lines. It
+    /// runs after the session's admission slot is freed, so a serve()
+    /// issued from it (or by a client it wakes) sees that slot as free.
     ServingPool(const CompiledModel& model, SessionConfig config, Options options,
                 std::function<void(const SessionReport&)> on_session = {});
     /// Drains: blocks until every accepted session completed.
@@ -151,7 +153,8 @@ public:
     [[nodiscard]] int workers() const { return queue_.workers(); }
 
 private:
-    void serve_one(net::TcpTransport& transport, std::uint64_t index) noexcept;
+    [[nodiscard]] SessionReport serve_one(net::TcpTransport& transport,
+                                          std::uint64_t index) noexcept;
 
     const CompiledModel* model_;
     const ServerSession session_;  ///< stateless; shared by all workers

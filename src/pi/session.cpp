@@ -213,8 +213,7 @@ struct PartyRun {
                         cur = mpc::he_conv_client(ctx, cache.enc, cur);
                     }
                     ctx.transport().set_phase(net::Phase::kOnline);
-                    for (auto& v : cur)
-                        v = static_cast<Ring>(static_cast<std::int64_t>(v) >> fmt.frac_bits);
+                    for (auto& v : cur) v = fmt.truncate(v);
                     break;
                 }
                 case PlanOp::kLinear: {
@@ -226,8 +225,7 @@ struct PartyRun {
                         cur = mpc::he_matvec_client(ctx, cache.enc, cur);
                     }
                     ctx.transport().set_phase(net::Phase::kOnline);
-                    for (auto& v : cur)
-                        v = static_cast<Ring>(static_cast<std::int64_t>(v) >> fmt.frac_bits);
+                    for (auto& v : cur) v = fmt.truncate(v);
                     break;
                 }
                 case PlanOp::kRelu: {

@@ -23,7 +23,7 @@ namespace c2pi::pi {
 namespace {
 
 ModelArtifact demo_artifact(bool full_pi = false) {
-    const nn::Sequential model = demo::make_demo_model();
+    const nn::Graph model = demo::make_demo_model();
     const auto opts = demo::demo_compile_options(full_pi);
     return ModelArtifact::build(model, {.input_chw = opts.input_chw,
                                         .boundary = opts.boundary,
@@ -232,7 +232,7 @@ TEST(ArtifactCodec, RejectsCorruptPlan) {
 TEST(ArtifactModelBinding, CompiledModelRejectsForeignArtifact) {
     // Serving weights against an artifact for a DIFFERENT architecture
     // must throw at compile time, not fail mid-protocol.
-    const nn::Sequential model = demo::make_demo_model();
+    const nn::Graph model = demo::make_demo_model();
     ModelArtifact other = demo_artifact();
     other.plan[0].geo.kernel = 1;  // not what this model plans
     other.plan[0].geo.pad = 0;
@@ -257,7 +257,7 @@ void expect_pi_stats_equal(const PiStats& a, const PiStats& b, const char* what)
 /// bytes and runs. Logits must be bit-identical to the locally-compiled
 /// reference and the channel stats must not move by a single byte.
 void check_shipped_artifact_inproc(bool full_pi, const SessionConfig& config) {
-    const nn::Sequential model = demo::make_demo_model();
+    const nn::Graph model = demo::make_demo_model();
     const CompiledModel compiled(model, demo::demo_compile_options(full_pi));
 
     Rng rng(100);
@@ -306,7 +306,7 @@ TEST(WeightlessClient, TcpShippedArtifactMatchesLocalCompile) {
     // The deployed shape, exactly as pi_server/pi_client wire it: the
     // artifact travels in its own kArtifact frame and is excluded from
     // the per-phase accounting on BOTH endpoints.
-    const nn::Sequential model = demo::make_demo_model();
+    const nn::Graph model = demo::make_demo_model();
     const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/false));
     const SessionConfig config{.noise_lambda = 0.05F, .seed = 21};
 

@@ -25,7 +25,7 @@ struct AttackFixture {
         cfg.image_size = 16;
         return data::SyntheticImageDataset(cfg);
     }();
-    nn::Sequential model = [] {
+    nn::Graph model = [] {
         nn::ModelConfig cfg;
         cfg.width_multiplier = 0.1F;
         cfg.input_hw = 16;

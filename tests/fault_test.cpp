@@ -20,7 +20,7 @@
 #include "net/faulty.hpp"
 #include "net/tcp.hpp"
 #include "nn/layers.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 #include "pi/bootstrap.hpp"
 #include "pi/retry.hpp"
 #include "pi/serving_pool.hpp"
@@ -33,9 +33,9 @@ using namespace std::chrono_literals;
 /// Smallest model with real conv/ReLU/FC coverage and a crypto-clear
 /// boundary: chaos needs MANY sessions, so each must be cheap even
 /// under TSan.
-nn::Sequential make_tiny_model(std::uint64_t seed = 3) {
+nn::Graph make_tiny_model(std::uint64_t seed = 3) {
     Rng rng(seed);
-    nn::Sequential m;
+    nn::Graph m;
     m.emplace<nn::Conv2d>(3, 2, ops::ConvSpec{.kernel = 3, .stride = 2, .pad = 1}, rng);
     m.emplace<nn::Relu>();
     m.emplace<nn::Flatten>();
@@ -161,7 +161,7 @@ ClientOutcome run_client(std::uint16_t port, const SessionConfig& config, const 
 // ------------------------------------------------------------ chaos matrix ---
 
 TEST(FaultInjection, ChaosMatrixIsContainedAndClassified) {
-    const nn::Sequential model = make_tiny_model();
+    const nn::Graph model = make_tiny_model();
     const CompiledModel compiled(model, tiny_options());
     const SessionConfig config{.seed = 21};
     const Tensor input = tiny_input();
@@ -310,7 +310,7 @@ TEST(FaultInjection, ChaosMatrixIsContainedAndClassified) {
 // ------------------------------------------------ handshake-phase laggards ---
 
 TEST(FaultInjection, HandshakeDeadlineShedsConnectThenSilentClient) {
-    const nn::Sequential model = make_tiny_model();
+    const nn::Graph model = make_tiny_model();
     const CompiledModel compiled(model, tiny_options());
     const SessionConfig config{.seed = 23};
     const Tensor input = tiny_input();
@@ -358,7 +358,7 @@ TEST(FaultInjection, HandshakeDeadlineShedsConnectThenSilentClient) {
 // ----------------------------------------------------- BUSY-storm retries ---
 
 TEST(FaultInjection, RetryPolicyOutlastsBusyStormWhilePolicyFreeClientFailsFast) {
-    const nn::Sequential model = make_tiny_model();
+    const nn::Graph model = make_tiny_model();
     const CompiledModel compiled(model, tiny_options());
     const SessionConfig config{.seed = 29};
     const Tensor input = tiny_input();
@@ -418,7 +418,7 @@ TEST(FaultInjection, RetryPolicyOutlastsBusyStormWhilePolicyFreeClientFailsFast)
 // ------------------------------------------- windowed tail under a death ---
 
 TEST(FaultInjection, WindowedTailSurvivorNotStalledByDyingSibling) {
-    const nn::Sequential model = make_tiny_model();
+    const nn::Graph model = make_tiny_model();
     const CompiledModel compiled(model, tiny_options());
     const SessionConfig config{.seed = 31};
     const Tensor input = tiny_input();
@@ -462,7 +462,7 @@ TEST(FaultInjection, WindowedTailSurvivorNotStalledByDyingSibling) {
 // ------------------------------------------------------ resumable bootstrap ---
 
 TEST(FaultInjection, DigestCacheSkipsSecondShipmentAcrossReconnects) {
-    const nn::Sequential model = make_tiny_model();
+    const nn::Graph model = make_tiny_model();
     const CompiledModel compiled(model, tiny_options());
     const SessionConfig config{.seed = 37};
     const Tensor input = tiny_input();
@@ -489,7 +489,7 @@ TEST(FaultInjection, DigestCacheSkipsSecondShipmentAcrossReconnects) {
 }
 
 TEST(FaultInjection, PinnedDigestDetectsMidAirArtifactSwap) {
-    const nn::Sequential model = make_tiny_model();
+    const nn::Graph model = make_tiny_model();
     // Two servers whose PUBLIC halves differ (the pin is about model
     // identity, which weights alone cannot change).
     auto options_b = tiny_options();
@@ -517,7 +517,7 @@ TEST(FaultInjection, PinnedDigestDetectsMidAirArtifactSwap) {
 }
 
 TEST(FaultInjection, ShippedBytesMustMatchAnnouncedDigest) {
-    const nn::Sequential model = make_tiny_model();
+    const nn::Graph model = make_tiny_model();
     const CompiledModel compiled(model, tiny_options());
     std::vector<std::uint8_t> bytes = compiled.artifact().serialize();
     const ArtifactDigest announced = digest_of(bytes);

@@ -26,7 +26,7 @@
 #include "fss/key_pool.hpp"
 #include "he/kernels.hpp"
 #include "nn/layers.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 #include "pi/session.hpp"
 
 namespace c2pi::fss {
@@ -262,9 +262,9 @@ TEST(FssDealer, GoldenKeysDigestAcrossTiersAndThreads) {
 
 /// Smaller than pi_test's reference net (one conv block) but still
 /// covering every nonlinear protocol: ReLU and 2x2 maxpool.
-nn::Sequential make_fss_test_model() {
+nn::Graph make_fss_test_model() {
     Rng rng(21);
-    nn::Sequential m;
+    nn::Graph m;
     m.emplace<nn::Conv2d>(3, 4, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
     m.emplace<nn::Relu>();
     m.emplace<nn::MaxPool2d>(2, 2);
@@ -303,7 +303,7 @@ class CrossBackendParityTest : public ::testing::TestWithParam<ParityCase> {};
 /// reconstruction is deterministic.
 TEST_P(CrossBackendParityTest, LogitsBitIdenticalAcrossNonlinearBackends) {
     const ParityCase& pc = GetParam();
-    const nn::Sequential model = make_fss_test_model();
+    const nn::Graph model = make_fss_test_model();
     const pi::CompiledModel compiled(model, fss_compile_options(pc.full_pi));
     const Tensor input = make_fss_test_input();
 
@@ -334,7 +334,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// into the preprocessing bucket, so for the same model its ONLINE bytes
 /// must be strictly below GC's, while GC ships nothing in preprocessing.
 TEST(FssSession, OnlineBytesStrictlyBelowGc) {
-    const nn::Sequential model = make_fss_test_model();
+    const nn::Graph model = make_fss_test_model();
     const pi::CompiledModel compiled(model, fss_compile_options(/*full_pi=*/true));
     const Tensor input = make_fss_test_input();
 
@@ -356,7 +356,7 @@ TEST(FssSession, OnlineBytesStrictlyBelowGc) {
 }
 
 TEST(FssSession, MismatchedClientRaisesTypedError) {
-    const nn::Sequential model = make_fss_test_model();
+    const nn::Graph model = make_fss_test_model();
     const pi::CompiledModel compiled(model, fss_compile_options(/*full_pi=*/true));
     const Tensor input = make_fss_test_input();
 
@@ -383,7 +383,7 @@ TEST(FssSession, MismatchedClientRaisesTypedError) {
 }
 
 TEST(FssSession, UnknownAnnouncedBackendRejected) {
-    const nn::Sequential model = make_fss_test_model();
+    const nn::Graph model = make_fss_test_model();
     const pi::CompiledModel compiled(model, fss_compile_options(/*full_pi=*/true));
     const Tensor input = make_fss_test_input();
 

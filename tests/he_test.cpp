@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/error.hpp"
 #include "core/rng.hpp"
 #include "he/bfv.hpp"
 #include "he/encoding.hpp"
@@ -266,11 +269,10 @@ TEST(Bfv, HomomorphicPlainMultiplyMatchesNegacyclicRingProduct) {
 
     Ciphertext ct = ctx.encrypt(plain, sk, prg);
     ctx.to_ntt(ct);
-    Ciphertext acc = ctx.make_accumulator();
-    const RnsPoly w = ctx.lift_to_ntt(weight);
-    ctx.multiply_plain_accumulate(ct, w, acc);
-    ctx.from_ntt(acc);
-    const auto got = ctx.decrypt(acc, sk);
+    Ciphertext prod;
+    ctx.multiply_plain(ct, ctx.to_plain_ntt(weight), prod);
+    ctx.from_ntt(prod);
+    const auto got = ctx.decrypt(prod, sk);
 
     // Negacyclic product over Z_{2^64}.
     std::vector<Ring> want(ctx.n(), 0);
@@ -288,17 +290,40 @@ TEST(Bfv, HomomorphicPlainMultiplyMatchesNegacyclicRingProduct) {
     EXPECT_EQ(got, want);
 }
 
-TEST(Bfv, AddPlainFoldsIntoMessage) {
+TEST(Bfv, AddPlainAtFoldsSignedEdges) {
     const BfvContext ctx(small_params());
     crypto::ChaCha20Prg prg(crypto::Block128{7, 8});
     const SecretKey sk = ctx.keygen(prg);
-    std::vector<Ring> plain(ctx.n(), 10), extra(ctx.n());
     c2pi::Rng rng(7);
-    for (auto& v : extra) v = rng.next_u64();
+    std::vector<Ring> plain(ctx.n());
+    for (auto& v : plain) v = rng.next_u64();
+    const auto n = static_cast<std::int64_t>(ctx.n());
+    // Both ends of the polynomial plus scattered interior positions; the
+    // values cover the signed-lift edges (INT64_MIN has no positive twin).
+    const std::vector<std::int64_t> positions{0, n - 1, 1, 17, n / 2, n - 2, n / 3};
+    const std::vector<Ring> values{
+        static_cast<Ring>(std::numeric_limits<std::int64_t>::min()),
+        static_cast<Ring>(std::numeric_limits<std::int64_t>::max()),
+        0,
+        static_cast<Ring>(std::int64_t{-1}),
+        static_cast<Ring>(std::int64_t{-12345}),
+        static_cast<Ring>(std::int64_t{-2}),
+        42};
+
     Ciphertext ct = ctx.encrypt(plain, sk, prg);
-    ctx.add_plain_inplace(ct, extra);
-    const auto got = ctx.decrypt(ct, sk);
-    for (std::size_t i = 0; i < ctx.n(); ++i) EXPECT_EQ(got[i], plain[i] + extra[i]);
+    ctx.add_plain_at(ct, positions, values);
+    EXPECT_FALSE(ct.seed_compressed);
+    std::vector<Ring> want = plain;
+    for (std::size_t k = 0; k < positions.size(); ++k)
+        want[static_cast<std::size_t>(positions[k])] += values[k];
+    EXPECT_EQ(ctx.decrypt(ct, sk), want);
+
+    const std::vector<std::int64_t> past_end{n};
+    const std::vector<std::int64_t> negative{-1};
+    const std::vector<Ring> one{1};
+    Ciphertext bad = ctx.encrypt(plain, sk, prg);
+    EXPECT_THROW(ctx.add_plain_at(bad, past_end, one), c2pi::Error);
+    EXPECT_THROW(ctx.add_plain_at(bad, negative, one), c2pi::Error);
 }
 
 TEST(Bfv, ModSwitchPreservesMessage) {
@@ -325,12 +350,12 @@ TEST(Bfv, ModSwitchAfterMultiplyPreservesMessage) {
 
     Ciphertext ct = ctx.encrypt(plain, sk, prg);
     ctx.to_ntt(ct);
-    Ciphertext acc = ctx.make_accumulator();
-    ctx.multiply_plain_accumulate(ct, ctx.lift_to_ntt(weight), acc);
-    ctx.from_ntt(acc);
-    const auto before = ctx.decrypt(acc, sk);
-    ctx.mod_switch_to_two_limbs(acc);
-    EXPECT_EQ(ctx.decrypt(acc, sk), before);
+    Ciphertext prod;
+    ctx.multiply_plain(ct, ctx.to_plain_ntt(weight), prod);
+    ctx.from_ntt(prod);
+    const auto before = ctx.decrypt(prod, sk);
+    ctx.mod_switch_to_two_limbs(prod);
+    EXPECT_EQ(ctx.decrypt(prod, sk), before);
 }
 
 TEST(Bfv, SerializedSizesMatchSpec) {
@@ -402,7 +427,8 @@ TEST_P(ConvEncodingTest, HomomorphicConvMatchesRingReference) {
     crypto::ChaCha20Prg prg(crypto::Block128{15, 16});
     const SecretKey sk = ctx.keygen(prg);
 
-    // One accumulator per output channel, summed over input groups.
+    // One accumulator per output channel, summed over input groups — the
+    // server-online sequence of mpc::he_conv_server.
     std::vector<Ciphertext> input_cts;
     for (std::int64_t g = 0; g < enc.num_groups(); ++g) {
         Ciphertext ct = ctx.encrypt(enc.encode_input_group(x, g), sk, prg);
@@ -411,10 +437,11 @@ TEST_P(ConvEncodingTest, HomomorphicConvMatchesRingReference) {
     }
     const auto want = ring_conv_reference(geo, x, w);
     for (std::int64_t o = 0; o < p.o; ++o) {
-        Ciphertext acc = ctx.make_accumulator();
-        for (std::int64_t g = 0; g < enc.num_groups(); ++g) {
+        Ciphertext acc;
+        ctx.multiply_plain(input_cts[0], ctx.to_plain_ntt(enc.encode_weight(w, 0, o)), acc);
+        for (std::int64_t g = 1; g < enc.num_groups(); ++g) {
             ctx.multiply_plain_accumulate(input_cts[static_cast<std::size_t>(g)],
-                                          ctx.lift_to_ntt(enc.encode_weight(w, g, o)), acc);
+                                          ctx.to_plain_ntt(enc.encode_weight(w, g, o)), acc);
         }
         ctx.from_ntt(acc);
         ctx.mod_switch_to_two_limbs(acc);
@@ -457,10 +484,10 @@ TEST(MatVecEncoding, HomomorphicMatVecMatchesRingReference) {
 
     std::vector<Ring> got;
     for (std::int64_t b = 0; b < enc.num_blocks(); ++b) {
-        Ciphertext acc = ctx.make_accumulator();
-        ctx.multiply_plain_accumulate(ct, ctx.lift_to_ntt(enc.encode_weight_block(w, b)), acc);
-        ctx.from_ntt(acc);
-        const auto poly = ctx.decrypt(acc, sk);
+        Ciphertext prod;
+        ctx.multiply_plain(ct, ctx.to_plain_ntt(enc.encode_weight_block(w, b)), prod);
+        ctx.from_ntt(prod);
+        const auto poly = ctx.decrypt(prod, sk);
         const auto rows = enc.gather_outputs(poly, b);
         got.insert(got.end(), rows.begin(), rows.end());
     }
@@ -487,7 +514,7 @@ TEST(ConvEncoding, GroupingRespectsRingCapacity) {
               static_cast<std::int64_t>(ctx.n()));
 }
 
-TEST(ConvEncoding, ScatterGatherRoundTrip) {
+TEST(ConvEncoding, GatherReadsOutputCoeffIndex) {
     BfvContext::Params params;
     params.n = 256;
     const BfvContext ctx(params);
@@ -495,9 +522,14 @@ TEST(ConvEncoding, ScatterGatherRoundTrip) {
                            .kernel = 3, .stride = 1, .pad = 1};
     const ConvEncoder enc(ctx, geo);
     c2pi::Rng rng(13);
-    std::vector<Ring> vals(static_cast<std::size_t>(geo.out_h() * geo.out_w()));
-    for (auto& v : vals) v = rng.next_u64();
-    EXPECT_EQ(enc.gather_outputs(enc.scatter_outputs(vals)), vals);
+    std::vector<Ring> poly(ctx.n(), 0);
+    std::vector<Ring> vals;
+    for (std::int64_t oy = 0; oy < geo.out_h(); ++oy)
+        for (std::int64_t ox = 0; ox < geo.out_w(); ++ox) {
+            vals.push_back(rng.next_u64());
+            poly[static_cast<std::size_t>(enc.output_coeff_index(oy, ox))] = vals.back();
+        }
+    EXPECT_EQ(enc.gather_outputs(poly), vals);
 }
 
 }  // namespace

@@ -69,9 +69,7 @@ TEST(RingTensorOps, TruncationErrorWithinOneUlp) {
             static_cast<std::int64_t>(std::llround(value * fmt.scale() * fmt.scale())));
         const Ring s0 = rng.next_u64();
         const Ring s1 = v2f - s0;
-        const Ring t0 = static_cast<Ring>(static_cast<std::int64_t>(s0) >> fmt.frac_bits);
-        const Ring t1 = static_cast<Ring>(static_cast<std::int64_t>(s1) >> fmt.frac_bits);
-        const double back = fmt.decode(t0 + t1);
+        const double back = fmt.decode(fmt.truncate(s0) + fmt.truncate(s1));
         EXPECT_NEAR(back, value, 3.0 / fmt.scale()) << value;
     }
 }
@@ -168,30 +166,6 @@ INSTANTIATE_TEST_SUITE_P(Backends, SecureReluTest,
                          ::testing::Values(NonlinearBackend::kGarbledCircuit,
                                            NonlinearBackend::kOtMillionaire,
                                            NonlinearBackend::kFss));
-
-TEST(SecureRelu, GcBackendHonoursPinnedClientShare) {
-    MpcFixture fx;
-    c2pi::Rng rng(10);
-    const std::size_t n = 16;
-    std::vector<Ring> values(n);
-    for (std::size_t i = 0; i < n; ++i) values[i] = fx.fmt.encode(rng.uniform(-5.0F, 5.0F));
-    auto [s0, s1] = make_shares(values, 11);
-    std::vector<Ring> pinned(n);
-    for (std::size_t i = 0; i < n; ++i) pinned[i] = 0x1000 + i;
-    std::vector<Ring> z0, z1;
-    fx.run(
-        [&](PartyContext& ctx) {
-            z0 = secure_relu(ctx, s0, NonlinearBackend::kGarbledCircuit);
-        },
-        [&](PartyContext& ctx) {
-            z1 = secure_relu(ctx, s1, NonlinearBackend::kGarbledCircuit, pinned);
-        });
-    EXPECT_EQ(z1, pinned);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double want = std::max(fx.fmt.decode(values[i]), 0.0);
-        EXPECT_NEAR(fx.fmt.decode(z0[i] + z1[i]), want, 2.0 / fx.fmt.scale());
-    }
-}
 
 class SecureMaxPoolTest : public ::testing::TestWithParam<NonlinearBackend> {};
 

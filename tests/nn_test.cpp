@@ -1,4 +1,4 @@
-// Tests for the NN stack: layer gradient checks, Sequential cut-point
+// Tests for the NN stack: layer gradient checks, chain-graph cut-point
 // arithmetic, model topology invariants, optimizer behaviour, training
 // convergence on a tiny problem, and parameter serialization.
 
@@ -9,7 +9,7 @@
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 #include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 #include "nn/zoo.hpp"
@@ -101,9 +101,9 @@ TEST(Layers, MaxPoolBackwardGradient) {
     check_input_gradient(pool, Tensor::randn({1, 2, 4, 4}, rng));
 }
 
-TEST(Sequential, ForwardRangeComposition) {
+TEST(ChainGraph, ForwardRangeComposition) {
     Rng rng(8);
-    nn::Sequential model;
+    nn::Graph model;
     model.emplace<nn::Conv2d>(1, 2, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
     model.emplace<nn::Relu>();
     model.emplace<nn::Flatten>();
@@ -115,9 +115,9 @@ TEST(Sequential, ForwardRangeComposition) {
     EXPECT_TRUE(full.allclose(rest));
 }
 
-TEST(Sequential, CutPointFlatIndexConvention) {
+TEST(ChainGraph, CutPointFlatIndexConvention) {
     Rng rng(9);
-    nn::Sequential model;
+    nn::Graph model;
     model.emplace<nn::Conv2d>(1, 2, ops::ConvSpec{}, rng);  // flat 0, linear op 1
     model.emplace<nn::Relu>();                              // flat 1 -> "1.5"
     model.emplace<nn::MaxPool2d>(2, 2);                     // flat 2
@@ -136,11 +136,11 @@ TEST(Sequential, CutPointFlatIndexConvention) {
     EXPECT_THROW((void)model.flat_cut_index({.linear_index = 4, .after_relu = false}), Error);
 }
 
-TEST(Sequential, PrefixSuffixEqualsFullForward) {
+TEST(ChainGraph, PrefixSuffixEqualsFullForward) {
     nn::ModelConfig cfg;
     cfg.width_multiplier = 0.1F;
     cfg.input_hw = 32;
-    nn::Sequential model = nn::make_vgg16(cfg);
+    nn::Graph model = nn::make_vgg16(cfg);
     Rng rng(10);
     const Tensor x = Tensor::uniform({1, 3, 32, 32}, rng, 0.0F, 1.0F);
     const Tensor full = model.forward(x);
@@ -154,7 +154,7 @@ TEST(Sequential, PrefixSuffixEqualsFullForward) {
 TEST(Models, Vgg16HasThirteenConvs) {
     nn::ModelConfig cfg;
     cfg.width_multiplier = 0.05F;
-    nn::Sequential m = nn::make_vgg16(cfg);
+    nn::Graph m = nn::make_vgg16(cfg);
     std::int64_t convs = 0;
     for (std::size_t i = 0; i < m.size(); ++i)
         convs += (m.layer(i).kind() == nn::LayerKind::kConv2d);
@@ -165,7 +165,7 @@ TEST(Models, Vgg16HasThirteenConvs) {
 TEST(Models, Vgg19HasSixteenConvs) {
     nn::ModelConfig cfg;
     cfg.width_multiplier = 0.05F;
-    nn::Sequential m = nn::make_vgg19(cfg);
+    nn::Graph m = nn::make_vgg19(cfg);
     std::int64_t convs = 0;
     for (std::size_t i = 0; i < m.size(); ++i)
         convs += (m.layer(i).kind() == nn::LayerKind::kConv2d);
@@ -175,7 +175,7 @@ TEST(Models, Vgg19HasSixteenConvs) {
 TEST(Models, AlexNetHasFiveConvsThreeFcs) {
     nn::ModelConfig cfg;
     cfg.width_multiplier = 0.05F;
-    nn::Sequential m = nn::make_alexnet(cfg);
+    nn::Graph m = nn::make_alexnet(cfg);
     std::int64_t convs = 0, fcs = 0;
     for (std::size_t i = 0; i < m.size(); ++i) {
         convs += (m.layer(i).kind() == nn::LayerKind::kConv2d);
@@ -320,7 +320,7 @@ TEST(Graph, ArticulationPointsExcludeSkipSpans) {
     EXPECT_TRUE(g.is_articulation(static_cast<std::size_t>(sum)));
     EXPECT_TRUE(g.is_articulation(static_cast<std::size_t>(r1)));
     // A pure chain is all articulation points.
-    nn::Sequential chain;
+    nn::Graph chain;
     chain.emplace<nn::Relu>();
     chain.emplace<nn::Flatten>();
     EXPECT_TRUE(chain.is_linear_chain());
@@ -363,7 +363,7 @@ TEST(Trainer, LearnsSyntheticDataset) {
     data::SyntheticImageDataset ds(dcfg);
 
     Rng rng(12);
-    nn::Sequential model;
+    nn::Graph model;
     model.emplace<nn::Conv2d>(3, 8, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
     model.emplace<nn::Relu>();
     model.emplace<nn::MaxPool2d>(2, 2);
@@ -391,7 +391,7 @@ TEST(Trainer, NoiseAtCutDegradesGracefully) {
     nn::ModelConfig mcfg;
     mcfg.width_multiplier = 0.1F;
     mcfg.input_hw = 16;
-    nn::Sequential model = nn::make_alexnet(mcfg);
+    nn::Graph model = nn::make_alexnet(mcfg);
     nn::TrainConfig tcfg;
     tcfg.epochs = 5;
     tcfg.lr = 0.03F;
@@ -407,8 +407,8 @@ TEST(Serialize, SaveLoadRoundTrip) {
     Rng rng(13);
     nn::ModelConfig cfg;
     cfg.width_multiplier = 0.05F;
-    nn::Sequential a = nn::make_vgg16(cfg);
-    nn::Sequential b = nn::make_vgg16(cfg);
+    nn::Graph a = nn::make_vgg16(cfg);
+    nn::Graph b = nn::make_vgg16(cfg);
     // Perturb a so the two differ, save a, load into b.
     for (auto* p : a.parameters())
         for (std::int64_t i = 0; i < p->value.numel(); ++i) p->value[i] += 0.01F;
@@ -423,8 +423,8 @@ TEST(Serialize, SaveLoadRoundTrip) {
 TEST(Serialize, LoadRejectsWrongArchitecture) {
     nn::ModelConfig cfg;
     cfg.width_multiplier = 0.05F;
-    nn::Sequential a = nn::make_vgg16(cfg);
-    nn::Sequential b = nn::make_alexnet(cfg);
+    nn::Graph a = nn::make_vgg16(cfg);
+    nn::Graph b = nn::make_alexnet(cfg);
     const std::string path = "/tmp/c2pi_serialize_mismatch.bin";
     nn::save_parameters(a, path);
     EXPECT_THROW(nn::load_parameters(b, path), Error);

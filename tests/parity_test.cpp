@@ -202,7 +202,7 @@ void expect_pi_stats_equal(const pi::PiStats& a, const pi::PiStats& b, const cha
 }
 
 void check_thread_parity(bool full_pi, const pi::SessionConfig& config) {
-    const nn::Sequential model = demo::make_demo_model();
+    const nn::Graph model = demo::make_demo_model();
     auto serial_opts = demo::demo_compile_options(full_pi);
     serial_opts.num_threads = 1;
     auto parallel_opts = demo::demo_compile_options(full_pi);
@@ -243,7 +243,7 @@ TEST(SessionThreadParity, WeightlessClientModelSkipsWeightPrecompute) {
     // and require the logits to match the shared-artifact reference.
     // (A ServerSession over a ClientModel is not a runtime error anymore:
     // the type split makes it unrepresentable.)
-    const nn::Sequential model = demo::make_demo_model();
+    const nn::Graph model = demo::make_demo_model();
     const pi::SessionConfig config{.noise_lambda = 0.05F, .seed = 42};
     const pi::CompiledModel server_side(model, demo::demo_compile_options(/*full_pi=*/false));
     const pi::ClientModel client_side(server_side.artifact());
@@ -284,7 +284,7 @@ SessionTranscript run_full_session(const he::kernels::Kernels* forced, pi::PiBac
     // Force the tier for the whole run, compile included: weight
     // precompute (NTT + Shoup companions) goes through the kernels too.
     he::kernels::set_active_for_testing(forced);
-    const nn::Sequential model = demo::make_demo_model();
+    const nn::Graph model = demo::make_demo_model();
     const pi::CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/true));
     pi::SessionConfig config{.backend = backend, .seed = 5150};
     config.nonlinear = nonlinear;
@@ -351,7 +351,7 @@ TEST(KernelDispatchParity, ScalarVsBestBitIdenticalAcrossBackends) {
 // --------------------------------------------------- transport-level parity ---
 
 TEST(SessionThreadParity, MultiThreadArtifactOverTcpMatchesInProc) {
-    const nn::Sequential model = demo::make_demo_model();
+    const nn::Graph model = demo::make_demo_model();
     auto opts = demo::demo_compile_options(/*full_pi=*/false);
     opts.num_threads = 3;
     const pi::CompiledModel compiled(model, opts);

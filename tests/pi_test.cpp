@@ -23,9 +23,9 @@ namespace {
 /// Small conv net: 2 convs + 2 FCs on 16x16 RGB inputs — big enough to
 /// exercise conv groups, pooling, ReLU and FC protocols, small enough for
 /// fast MPC in tests.
-nn::Sequential make_test_model(std::uint64_t seed = 7) {
+nn::Graph make_test_model(std::uint64_t seed = 7) {
     Rng rng(seed);
-    nn::Sequential m;
+    nn::Graph m;
     m.emplace<nn::Conv2d>(3, 6, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
     m.emplace<nn::Relu>();
     m.emplace<nn::MaxPool2d>(2, 2);
@@ -54,7 +54,7 @@ CompiledModel::Options small_compile_options() {
 class FullPiBackendTest : public ::testing::TestWithParam<PiBackend> {};
 
 TEST_P(FullPiBackendTest, MatchesPlaintextInference) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const Tensor x = make_test_input();
     const Tensor want = model.infer(x);
 
@@ -72,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, FullPiBackendTest,
                          ::testing::Values(PiBackend::kCheetah, PiBackend::kDelphi));
 
 TEST(Session, CheetahIsOnlineDominated) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, small_compile_options());
     const PiResult res = run_private_inference(
         compiled, SessionConfig{.backend = PiBackend::kCheetah}, make_test_input());
@@ -83,7 +83,7 @@ TEST(Session, CheetahIsOnlineDominated) {
 }
 
 TEST(Session, DelphiMovesWorkOffline) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, small_compile_options());
     const PiResult res = run_private_inference(
         compiled, SessionConfig{.backend = PiBackend::kDelphi}, make_test_input());
@@ -92,7 +92,7 @@ TEST(Session, DelphiMovesWorkOffline) {
 }
 
 TEST(Session, DelphiCostsMoreTrafficThanCheetah) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     // One compiled artifact serves both backends: the plan and encoded
     // weights are backend-agnostic, only the session protocol differs.
     const CompiledModel compiled(model, small_compile_options());
@@ -104,7 +104,7 @@ TEST(Session, DelphiCostsMoreTrafficThanCheetah) {
 }
 
 TEST(Session, WanLatencyExceedsLan) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, small_compile_options());
     const PiResult res = run_private_inference(compiled, SessionConfig{}, make_test_input());
     EXPECT_GT(res.stats.latency_seconds(net::NetworkModel::wan()),
@@ -112,7 +112,7 @@ TEST(Session, WanLatencyExceedsLan) {
 }
 
 TEST(C2pi, NoiselessBoundaryMatchesPlaintext) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const Tensor x = make_test_input();
     const Tensor want = model.infer(x);
 
@@ -128,7 +128,7 @@ TEST(C2pi, NoiselessBoundaryMatchesPlaintext) {
 }
 
 TEST(C2pi, CostsLessThanFullPi) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const Tensor x = make_test_input();
     const CompiledModel full(model, small_compile_options());
     const auto full_res = run_private_inference(full, SessionConfig{}, x);
@@ -144,7 +144,7 @@ TEST(C2pi, CostsLessThanFullPi) {
 }
 
 TEST(C2pi, NoisePerturbsButPreservesShape) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const Tensor x = make_test_input();
     auto copts = small_compile_options();
     copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
@@ -162,7 +162,7 @@ TEST(C2pi, NoisePerturbsButPreservesShape) {
 }
 
 TEST(C2pi, DelphiBackendAlsoSupportsBoundary) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const Tensor x = make_test_input();
     const Tensor want = model.infer(x);
     auto copts = small_compile_options();
@@ -216,7 +216,7 @@ struct BoundaryFixture {
         cfg.image_size = 16;
         return data::SyntheticImageDataset(cfg);
     }();
-    nn::Sequential model = [] {
+    nn::Graph model = [] {
         nn::ModelConfig cfg;
         cfg.width_multiplier = 0.1F;
         cfg.input_hw = 16;
@@ -324,7 +324,7 @@ TEST(C2piPipeline, EndToEndWithScriptedAttack) {
 TEST(Plan, NonTilingPoolGeometryThrowsTypedError) {
     // (5 - 2) % 2 != 0: the window doesn't tile. The old planner silently
     // floored the output shape, disagreeing with plaintext inference.
-    nn::Sequential m;
+    nn::Graph m;
     m.emplace<nn::Relu>();
     m.emplace<nn::MaxPool2d>(2, 2);
     try {

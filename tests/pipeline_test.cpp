@@ -33,7 +33,7 @@
 #include "net/runtime.hpp"
 #include "net/tcp.hpp"
 #include "nn/layers.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 #include "pi/bootstrap.hpp"
 #include "pi/serving_pool.hpp"
 #include "pi/session.hpp"
@@ -87,9 +87,9 @@ private:
 
 /// Cheap model with conv/ReLU/FC coverage (fault_test.cpp's topology):
 /// the matrix below runs 18 full sessions, so each must be fast.
-nn::Sequential tiny_model(std::uint64_t seed = 3) {
+nn::Graph tiny_model(std::uint64_t seed = 3) {
     Rng rng(seed);
-    nn::Sequential m;
+    nn::Graph m;
     m.emplace<nn::Conv2d>(3, 2, ops::ConvSpec{.kernel = 3, .stride = 2, .pad = 1}, rng);
     m.emplace<nn::Relu>();
     m.emplace<nn::Flatten>();
@@ -173,7 +173,7 @@ TEST(PipelineParity, StreamingMatchesSynchronousAcrossBackendMatrix) {
     const mpc::NonlinearBackend nonlinears[] = {mpc::NonlinearBackend::kGarbledCircuit,
                                                 mpc::NonlinearBackend::kOtMillionaire,
                                                 mpc::NonlinearBackend::kFss};
-    const nn::Sequential model = tiny_model();
+    const nn::Graph model = tiny_model();
     const Tensor input = tiny_input();
     for (const Cell& cell : cells) {
         // num_threads = 3 so the streamed HE responses come out of a real
@@ -264,7 +264,7 @@ TEST(PipelineTransport, RecvWaitIsChargedToTheCurrentPhase) {
 }
 
 TEST(PipelineParity, PipelinedTcpSessionMatchesSynchronousInProc) {
-    const nn::Sequential model = tiny_model();
+    const nn::Graph model = tiny_model();
     auto opts = tiny_options(/*full_pi=*/false);
     opts.num_threads = 3;
     const pi::CompiledModel compiled(model, opts);
@@ -316,7 +316,7 @@ TEST(PipelineChaos, MidStreamDisconnectUnderPipeliningIsContained) {
     // asynchronously, and the failure must still surface as an ordinary
     // classified client abort — never a hang, a crash, or a poisoned
     // pool. Shape follows fault_test.cpp's chaos harness.
-    const nn::Sequential model = tiny_model();
+    const nn::Graph model = tiny_model();
     const pi::CompiledModel compiled(model, tiny_options(/*full_pi=*/false));
     pi::SessionConfig config{.seed = 53};
     const Tensor input = tiny_input();

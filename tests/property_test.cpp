@@ -12,7 +12,7 @@
 #include "he/kernels.hpp"
 #include "he/ntt.hpp"
 #include "nn/layers.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 #include "pi/session.hpp"
 #include "mpc/nonlinear.hpp"
 #include "net/runtime.hpp"
@@ -28,8 +28,8 @@ struct ArchCase {
     int variant;
 };
 
-nn::Sequential build_variant(int variant, Rng& rng) {
-    nn::Sequential m;
+nn::Graph build_variant(int variant, Rng& rng) {
+    nn::Graph m;
     switch (variant) {
         case 0:  // conv -> relu -> fc (minimal)
             m.emplace<nn::Conv2d>(3, 4, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
@@ -71,7 +71,7 @@ class EngineArchTest : public ::testing::TestWithParam<ArchCase> {};
 TEST_P(EngineArchTest, SecureInferenceMatchesPlaintext) {
     const auto param = GetParam();
     Rng rng(33 + static_cast<std::uint64_t>(param.variant));
-    nn::Sequential model = build_variant(param.variant, rng);
+    nn::Graph model = build_variant(param.variant, rng);
     const Tensor x = Tensor::uniform({1, 3, 8, 8}, rng, 0.0F, 1.0F);
     const Tensor want = model.forward(x);
 
@@ -98,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EngineDeterminism, SameSeedSameTrafficAndLogits) {
     Rng rng(44);
-    nn::Sequential model = build_variant(0, rng);
+    nn::Graph model = build_variant(0, rng);
     const Tensor x = Tensor::uniform({1, 3, 8, 8}, rng, 0.0F, 1.0F);
     pi::CompiledModel::Options copts;
     copts.input_chw = {3, 8, 8};

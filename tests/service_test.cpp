@@ -9,7 +9,7 @@
 #include <thread>
 
 #include "nn/layers.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 #include "pi/session.hpp"
 
 namespace c2pi::pi {
@@ -18,9 +18,9 @@ namespace {
 /// Small conv net: 2 convs + 2 FCs on 16x16 RGB inputs (same topology as
 /// pi_test.cpp's model — big enough to exercise conv, pooling, ReLU and
 /// FC protocols, small enough for fast MPC in tests).
-nn::Sequential make_test_model(std::uint64_t seed = 7) {
+nn::Graph make_test_model(std::uint64_t seed = 7) {
     Rng rng(seed);
-    nn::Sequential m;
+    nn::Graph m;
     m.emplace<nn::Conv2d>(3, 6, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
     m.emplace<nn::Relu>();
     m.emplace<nn::MaxPool2d>(2, 2);
@@ -53,7 +53,7 @@ std::vector<Tensor> make_inputs(std::size_t n) {
 // ----------------------------------------------------------- concurrency ---
 
 TEST(CompiledModelSharing, ConcurrentSessionsMatchSequentialBitwise) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     auto copts = small_compile_options();
     copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
     const CompiledModel compiled(model, copts);  // compiled ONCE, shared const
@@ -62,7 +62,7 @@ TEST(CompiledModelSharing, ConcurrentSessionsMatchSequentialBitwise) {
     constexpr std::size_t kSessions = 4;
     const auto inputs = make_inputs(kSessions);
 
-    // Sequential reference runs.
+    // Serial reference runs.
     std::vector<Tensor> sequential;
     for (const auto& x : inputs)
         sequential.push_back(run_private_inference(compiled, config, x).logits);
@@ -85,7 +85,7 @@ TEST(CompiledModelSharing, ConcurrentSessionsMatchSequentialBitwise) {
 }
 
 TEST(CompiledModelSharing, FullPiConcurrentSessionsAlsoDeterministic) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, small_compile_options());
     const SessionConfig config{.seed = 9};
 
@@ -109,7 +109,7 @@ TEST(CompiledModelSharing, FullPiConcurrentSessionsAlsoDeterministic) {
 // ------------------------------------------------------------ validation ---
 
 TEST(CompiledModelValidation, RejectsBadFixedPointFormat) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     for (const int frac_bits : {0, -3, 30, 40}) {
         auto copts = small_compile_options();
         copts.fmt.frac_bits = frac_bits;
@@ -121,7 +121,7 @@ TEST(CompiledModelValidation, RejectsBadFixedPointFormat) {
 }
 
 TEST(CompiledModelValidation, RejectsNonPowerOfTwoRingDegree) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     for (const std::size_t n : {std::size_t{0}, std::size_t{1000}, std::size_t{4097}}) {
         auto copts = small_compile_options();
         copts.he_ring_degree = n;
@@ -130,7 +130,7 @@ TEST(CompiledModelValidation, RejectsNonPowerOfTwoRingDegree) {
 }
 
 TEST(CompiledModelValidation, RejectsBoundaryPastLastLinearOp) {
-    const nn::Sequential model = make_test_model();  // 4 linear ops
+    const nn::Graph model = make_test_model();  // 4 linear ops
     for (const std::int64_t idx : {std::int64_t{0}, std::int64_t{5}, std::int64_t{-1}}) {
         auto copts = small_compile_options();
         copts.boundary = nn::CutPoint{.linear_index = idx, .after_relu = false};
@@ -144,14 +144,14 @@ TEST(CompiledModelValidation, RejectsBoundaryPastLastLinearOp) {
 }
 
 TEST(CompiledModelValidation, RejectsBadInputShape) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     auto copts = small_compile_options();
     copts.input_chw = {3, 16};  // not [C,H,W]
     EXPECT_THROW(CompiledModel(model, copts), Error);
 }
 
 TEST(SessionValidation, RejectsMismatchedClientInput) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, small_compile_options());
     Rng rng(1);
     const Tensor wrong = Tensor::uniform({1, 3, 8, 8}, rng, 0.0F, 1.0F);

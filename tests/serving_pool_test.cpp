@@ -1,7 +1,8 @@
 // ServingPool tests: M concurrent TCP clients against one pool must get
 // logits bit-identical to sequential serving; a saturated pool must
 // answer with the typed BUSY rejection (net::ServerBusy on the client);
-// drain() must finish every admitted session; aggregate stats must sum
+// drain() must finish every admitted session; a session's report must
+// arrive after its admission slot is freed; aggregate stats must sum
 // the per-session accounting exactly; and the windowed TailBatcher must
 // coalesce the clear tails of concurrent clients into ONE plaintext pass
 // without changing any client's logits or per-phase traffic (a full-PI
@@ -9,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "net/tcp.hpp"
 #include "nn/layers.hpp"
-#include "nn/sequential.hpp"
+#include "nn/graph.hpp"
 #include "pi/serving_pool.hpp"
 
 namespace c2pi::pi {
@@ -22,9 +25,9 @@ namespace {
 
 /// Same reference topology as service_test.cpp: conv/pool/ReLU/FC
 /// coverage, fast enough for MPC under a sanitizer.
-nn::Sequential make_test_model(std::uint64_t seed = 7) {
+nn::Graph make_test_model(std::uint64_t seed = 7) {
     Rng rng(seed);
-    nn::Sequential m;
+    nn::Graph m;
     m.emplace<nn::Conv2d>(3, 6, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
     m.emplace<nn::Relu>();
     m.emplace<nn::MaxPool2d>(2, 2);
@@ -83,14 +86,14 @@ ClientRun run_weightless_client(std::uint16_t port, const SessionConfig& config,
 // ---------------------------------------------------- concurrent parity ---
 
 TEST(ServingPool, ConcurrentClientsBitIdenticalToSequentialAndStatsSum) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, boundary_compile_options());
     const SessionConfig config{.noise_lambda = 0.05F, .seed = 42};
 
     constexpr std::size_t kClients = 3;
     const auto inputs = make_inputs(kClients);
 
-    // Sequential reference: the in-process session pair (already proven
+    // Serial reference: the in-process session pair (already proven
     // transport-equivalent by tcp_test/artifact_test).
     std::vector<PiResult> reference;
     for (const auto& x : inputs)
@@ -146,7 +149,7 @@ TEST(ServingPool, ConcurrentClientsBitIdenticalToSequentialAndStatsSum) {
 // ------------------------------------------------- cross-client batching ---
 
 TEST(ServingPool, WindowedTailCoalescesAcrossClientsBitIdentically) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, boundary_compile_options());
     const SessionConfig config{.seed = 5};
 
@@ -199,7 +202,7 @@ TEST(ServingPool, WindowedTailCoalescesAcrossClientsBitIdentically) {
 }
 
 TEST(ServingPool, FullPiWithTailWindowBuildsNoBatcher) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, full_pi_compile_options());
     const SessionConfig config{.seed = 9};
 
@@ -241,7 +244,7 @@ TEST(ServingPool, FullPiWithTailWindowBuildsNoBatcher) {
 // ------------------------------------------------------ typed rejection ---
 
 TEST(ServingPool, OverloadRejectsWithTypedBusyFrame) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, boundary_compile_options());
     const SessionConfig config{.seed = 9};
 
@@ -277,10 +280,61 @@ TEST(ServingPool, OverloadRejectsWithTypedBusyFrame) {
     EXPECT_EQ(first.logits.numel(), 10);
 }
 
+// ------------------------------------------------ slot release ordering ---
+
+TEST(ServingPool, SessionReportArrivesAfterItsSlotIsFreed) {
+    const nn::Graph model = make_test_model();
+    const CompiledModel compiled(model, boundary_compile_options());
+    const SessionConfig config{.seed = 13};
+    const auto inputs = make_inputs(2);
+
+    // One worker, zero queue: the only slot is the finished session's. A
+    // serve() made from its report must find that slot free (a client
+    // that reconnects the moment it sees the report must not get BUSY).
+    net::TcpListener listener(0);  // outlives the pool: the observer accepts
+    ServingPool* pool_ptr = nullptr;
+    std::atomic<int> reports{0};
+    std::atomic<bool> admitted_from_report{false};
+    ServingPool pool(compiled, config, {.workers = 1, .queue_capacity = 0},
+                     [&](const ServingPool::SessionReport&) {
+                         if (reports.fetch_add(1) == 0)
+                             admitted_from_report = pool_ptr->serve(listener.accept(30'000));
+                     });
+    pool_ptr = &pool;
+
+    ClientRun first;
+    std::thread first_client(
+        [&] { first = run_weightless_client(listener.port(), config, inputs[0]); });
+    ASSERT_TRUE(pool.serve(listener.accept(30'000)));
+
+    // Connected now, accepted only by the first session's report.
+    ClientRun second;
+    std::string second_error;
+    std::thread second_client([&] {
+        try {
+            second = run_weightless_client(listener.port(), config, inputs[1]);
+        } catch (const std::exception& e) {
+            second_error = e.what();
+        }
+    });
+    first_client.join();
+    second_client.join();
+    pool.drain();
+
+    EXPECT_TRUE(admitted_from_report.load());
+    EXPECT_TRUE(second_error.empty()) << second_error;
+    EXPECT_EQ(first.logits.numel(), 10);
+    EXPECT_EQ(second.logits.numel(), 10);
+    const auto stats = pool.stats();
+    EXPECT_EQ(stats.served, 2U);
+    EXPECT_EQ(stats.rejected, 0U);
+    EXPECT_EQ(reports.load(), 2);
+}
+
 // ------------------------------------------------------- graceful drain ---
 
 TEST(ServingPool, DrainFinishesInFlightSessionsAndRefusesNewOnes) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, boundary_compile_options());
     const SessionConfig config{.seed = 11};
 
@@ -322,7 +376,7 @@ TEST(ServingPool, DrainFinishesInFlightSessionsAndRefusesNewOnes) {
 // ----------------------------------------------------------- validation ---
 
 TEST(ServingPool, RejectsBadOptionsAtTheApiBoundary) {
-    const nn::Sequential model = make_test_model();
+    const nn::Graph model = make_test_model();
     const CompiledModel compiled(model, boundary_compile_options());
     const SessionConfig config{};
     EXPECT_THROW(ServingPool(compiled, config, {.workers = -1}), Error);

@@ -216,7 +216,7 @@ TEST(TcpTransport, ConnectTimesOutWhenNobodyListens) {
 /// traffic accounting must agree byte-for-byte, per phase, on the
 /// channel and on BOTH socket endpoints.
 void check_tcp_parity(bool full_pi, pi::SessionConfig config) {
-    const nn::Sequential model = demo::make_demo_model();
+    const nn::Graph model = demo::make_demo_model();
     const pi::CompiledModel compiled(model, demo::demo_compile_options(full_pi));
 
     Rng rng(100);
