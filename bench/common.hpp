@@ -13,9 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "attack/inverse.hpp"
@@ -171,109 +169,6 @@ struct Scale {
     }
     return eval.avg_ssim;
 }
-
-/// Algorithm 1 over the cached DINA SSIM values, for several thresholds
-/// at once (one tail-to-head sweep serves all sigmas). Returns one
-/// BoundaryResult per sigma, in order.
-[[nodiscard]] inline std::vector<pi::BoundaryResult> cached_boundary_search(
-    const std::string& model_name, const std::string& ds_kind, nn::Graph& model,
-    const data::SyntheticImageDataset& dataset, std::span<const double> sigmas, float lambda,
-    double max_accuracy_drop, bool include_half_points) {
-    const auto cuts = pi::candidate_cuts(model, include_half_points);
-    const std::span<const data::Sample> subset(
-        dataset.test().data(), std::min(scale().accuracy_samples, dataset.test().size()));
-    const double baseline = nn::evaluate_accuracy(model, subset);
-    const double sigma_max = *std::max_element(sigmas.begin(), sigmas.end());
-
-    // Phase 1 (shared): sweep tail -> head until the strongest threshold
-    // is met; record every probe.
-    std::vector<pi::SsimProbe> sweep;
-    for (std::int64_t idx = static_cast<std::int64_t>(cuts.size()) - 1; idx >= 0; --idx) {
-        const auto& cut = cuts[static_cast<std::size_t>(idx)];
-        const double ssim = cached_dina_ssim(model_name, ds_kind, model, dataset, cut, lambda);
-        sweep.push_back({cut, ssim});
-        if (ssim >= sigma_max) break;
-    }
-
-    std::vector<pi::BoundaryResult> results;
-    for (const double sigma : sigmas) {
-        pi::BoundaryResult r;
-        r.baseline_accuracy = baseline;
-        r.ssim_sweep = sweep;
-        // First success (from the tail) for this sigma.
-        std::int64_t boundary_idx = 0;
-        for (const auto& probe : sweep) {
-            if (probe.avg_ssim >= sigma) {
-                const auto it = std::find_if(cuts.begin(), cuts.end(),
-                                             [&](const nn::CutPoint& c) { return c == probe.cut; });
-                boundary_idx = std::min<std::int64_t>(
-                    std::distance(cuts.begin(), it) + 1,
-                    static_cast<std::int64_t>(cuts.size()) - 1);
-                break;
-            }
-        }
-        // Phase 2: push later until accuracy is within the drop budget.
-        const double target = baseline - max_accuracy_drop;
-        r.boundary = cuts.back();
-        r.boundary_accuracy = baseline;
-        for (; boundary_idx < static_cast<std::int64_t>(cuts.size()); ++boundary_idx) {
-            const auto& cut = cuts[static_cast<std::size_t>(boundary_idx)];
-            const double acc =
-                nn::evaluate_accuracy_with_noise_at(model, cut, subset, lambda, 0xACC);
-            r.accuracy_sweep.push_back({cut, acc});
-            if (acc >= target) {
-                r.boundary = cut;
-                r.boundary_accuracy = acc;
-                break;
-            }
-        }
-        results.push_back(std::move(r));
-    }
-    return results;
-}
-
-/// Machine-readable bench output: when C2PI_BENCH_JSON=<path> is set,
-/// collected rows are written to <path> as {"bench": ..., "rows": [...]}
-/// at destruction. Each row is a flat name -> number map; the schema is
-/// deliberately tiny so CI can diff trajectories across PRs with jq.
-class BenchJsonWriter {
-public:
-    explicit BenchJsonWriter(std::string bench_name) : bench_(std::move(bench_name)) {
-        if (const char* p = std::getenv("C2PI_BENCH_JSON"); p != nullptr && p[0] != '\0')
-            path_ = p;
-    }
-
-    [[nodiscard]] bool enabled() const { return !path_.empty(); }
-
-    void add_row(const std::string& name,
-                 std::initializer_list<std::pair<const char*, double>> fields) {
-        if (!enabled()) return;
-        std::string row = "    {\"name\": \"" + name + "\"";
-        char buf[64];
-        for (const auto& [key, value] : fields) {
-            std::snprintf(buf, sizeof(buf), ", \"%s\": %.6g", key, value);
-            row += buf;
-        }
-        row += "}";
-        rows_.push_back(std::move(row));
-    }
-
-    ~BenchJsonWriter() {
-        if (!enabled() || rows_.empty()) return;
-        if (FILE* f = std::fopen(path_.c_str(), "w"); f != nullptr) {
-            std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", bench_.c_str());
-            for (std::size_t i = 0; i < rows_.size(); ++i)
-                std::fprintf(f, "%s%s\n", rows_[i].c_str(), i + 1 < rows_.size() ? "," : "");
-            std::fprintf(f, "  ]\n}\n");
-            std::fclose(f);
-        }
-    }
-
-private:
-    std::string bench_;
-    std::string path_;
-    std::vector<std::string> rows_;
-};
 
 inline void print_rule() {
     std::printf("--------------------------------------------------------------------------\n");

@@ -119,27 +119,6 @@ public:
     void set_pipeline(bool enabled) { pipeline_ = enabled; }
     [[nodiscard]] bool pipeline() const { return pipeline_; }
 
-    // -- prefetched share-mask draws -----------------------------------------
-    /// The server's share_prg() is consumed ONLY by the linear layers'
-    /// output masks, in layer order — so while layer k's nonlinear round
-    /// trips are in flight, the session layer may pre-draw layer k+1's
-    /// masks on another thread (synchronized by thread join) and stash
-    /// them here. next_mask_draw() then serves the stash in order before
-    /// falling back to the live stream; the draw sequence is identical
-    /// to the unprefetched path by construction.
-    void stash_mask_draws(std::vector<Ring> draws) {
-        require(!has_stashed_mask_draws(), "mask prefetch: previous stash not fully consumed");
-        mask_stash_ = std::move(draws);
-        mask_stash_pos_ = 0;
-    }
-    [[nodiscard]] bool has_stashed_mask_draws() const {
-        return mask_stash_pos_ < mask_stash_.size();
-    }
-    [[nodiscard]] Ring next_mask_draw() {
-        if (mask_stash_pos_ < mask_stash_.size()) return mask_stash_[mask_stash_pos_++];
-        return share_prg_.next_u64();
-    }
-
 private:
     net::Transport* transport_;
     FixedPointFormat fmt_;
@@ -154,8 +133,6 @@ private:
     GcCircuitCache owned_gc_cache_;
     std::vector<std::uint8_t> send_scratch_, recv_scratch_, aux_recv_scratch_;
     bool pipeline_ = false;
-    std::vector<Ring> mask_stash_;
-    std::size_t mask_stash_pos_ = 0;
 };
 
 }  // namespace c2pi::mpc

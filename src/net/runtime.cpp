@@ -1,50 +1,41 @@
 #include "net/runtime.hpp"
 
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "core/stopwatch.hpp"
 
 namespace c2pi::net {
 
-namespace {
-/// Unblock a peer that may be waiting on recv after our party died:
-/// flood its queue with empty poison messages. The peer's typed recv
-/// helpers reject them (size checks) and the peer unwinds too.
-void poison_peer(DuplexChannel& channel, int dead_party) {
-    for (int i = 0; i < 1024; ++i) channel.queue_to(1 - dead_party).push({});
-}
-}  // namespace
-
 RunResult run_two_party(DuplexChannel& channel,
                         const std::function<void(Transport&)>& server,
                         const std::function<void(Transport&)>& client) {
-    std::exception_ptr server_error, client_error;
+    std::mutex error_mutex;
+    std::exception_ptr first_error;
     Stopwatch watch;
 
-    std::thread server_thread([&] {
+    // A party that dies records its exception (unless the peer already
+    // failed) BEFORE closing the peer's queue, so the peer's PeerClosed
+    // can never displace the root cause.
+    const auto run_party = [&](int party, const std::function<void(Transport&)>& body) {
         try {
-            InProcTransport t(channel, 0);
-            server(t);
+            InProcTransport t(channel, party);
+            body(t);
         } catch (...) {
-            server_error = std::current_exception();
-            poison_peer(channel, 0);
+            {
+                const std::lock_guard<std::mutex> lock(error_mutex);
+                if (!first_error) first_error = std::current_exception();
+            }
+            channel.queue_to(1 - party).abort();
         }
-    });
-    std::thread client_thread([&] {
-        try {
-            InProcTransport t(channel, 1);
-            client(t);
-        } catch (...) {
-            client_error = std::current_exception();
-            poison_peer(channel, 1);
-        }
-    });
+    };
+    std::thread server_thread([&] { run_party(0, server); });
+    std::thread client_thread([&] { run_party(1, client); });
     server_thread.join();
     client_thread.join();
 
-    if (server_error) std::rethrow_exception(server_error);
-    if (client_error) std::rethrow_exception(client_error);
+    if (first_error) std::rethrow_exception(first_error);
 
     RunResult result;
     result.wall_seconds = watch.seconds();

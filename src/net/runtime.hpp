@@ -16,9 +16,11 @@ struct RunResult {
     double phase_seconds[kNumPhases] = {};  ///< filled when parties report phases
 };
 
-/// Execute the two party bodies concurrently. Exceptions thrown by either
-/// body are captured and rethrown on the caller thread (first one wins).
-/// `server` runs as party 0, `client` as party 1.
+/// Execute the two party bodies concurrently. `server` runs as party 0,
+/// `client` as party 1. A party that throws closes its peer's queue, so a
+/// peer blocked on recv raises PeerClosed instead of hanging; the
+/// exception of the party that failed FIRST (the root cause) is rethrown
+/// on the caller thread.
 RunResult run_two_party(DuplexChannel& channel,
                         const std::function<void(Transport&)>& server,
                         const std::function<void(Transport&)>& client);

@@ -26,7 +26,7 @@ std::vector<nn::CutPoint> candidate_cuts(const nn::Graph& model, bool include_ha
 }
 
 BoundaryResult search_boundary(nn::Graph& model, const data::SyntheticImageDataset& dataset,
-                               const attack::IdpaFactory& make_attack,
+                               const std::function<double(const nn::CutPoint&)>& probe,
                                const BoundaryConfig& config) {
     const auto cuts = candidate_cuts(model, config.include_half_points);
     require(!cuts.empty(), "model has no sweepable cut points");
@@ -40,12 +40,10 @@ BoundaryResult search_boundary(nn::Graph& model, const data::SyntheticImageDatas
     std::int64_t idx = static_cast<std::int64_t>(cuts.size()) - 1;
     std::int64_t first_success = -1;  // index where avg_ssim >= sigma
     for (; idx >= 0; --idx) {
-        const auto attack = make_attack();
-        const auto eval = attack::evaluate_idpa(*attack, model, cuts[static_cast<std::size_t>(idx)],
-                                                dataset, config.attack_eval_samples,
-                                                config.noise_lambda, config.seed ^ 0x517);
-        result.ssim_sweep.push_back({cuts[static_cast<std::size_t>(idx)], eval.avg_ssim});
-        if (eval.avg_ssim >= config.ssim_threshold) {
+        const nn::CutPoint& cut = cuts[static_cast<std::size_t>(idx)];
+        const double avg_ssim = probe(cut);
+        result.ssim_sweep.push_back({cut, avg_ssim});
+        if (avg_ssim >= config.ssim_threshold) {
             first_success = idx;
             break;
         }
@@ -77,6 +75,18 @@ BoundaryResult search_boundary(nn::Graph& model, const data::SyntheticImageDatas
                                    ? result.baseline_accuracy
                                    : result.accuracy_sweep.back().noised_accuracy;
     return result;
+}
+
+BoundaryResult search_boundary(nn::Graph& model, const data::SyntheticImageDataset& dataset,
+                               const attack::IdpaFactory& make_attack,
+                               const BoundaryConfig& config) {
+    const auto probe = [&](const nn::CutPoint& cut) {
+        const auto attack = make_attack();
+        return attack::evaluate_idpa(*attack, model, cut, dataset, config.attack_eval_samples,
+                                     config.noise_lambda, config.seed ^ 0x517)
+            .avg_ssim;
+    };
+    return search_boundary(model, dataset, probe, config);
 }
 
 }  // namespace c2pi::pi

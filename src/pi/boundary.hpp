@@ -10,6 +10,8 @@
 /// it later until the drop from baseline is at most delta (the paper uses
 /// 2.5%, matching SNL/SENet conventions).
 
+#include <functional>
+
 #include "attack/idpa.hpp"
 
 namespace c2pi::pi {
@@ -47,6 +49,14 @@ struct BoundaryResult {
 /// classifier op is excluded (cutting there is full PI).
 [[nodiscard]] std::vector<nn::CutPoint> candidate_cuts(const nn::Graph& model,
                                                        bool include_half_points);
+
+/// Run Algorithm 1 with a caller-supplied phase-1 probe returning the
+/// average attack SSIM at a cut (e.g. memoized values). If no cut meets
+/// the accuracy budget, the boundary falls back to the last sweepable cut
+/// and reports the last phase-2 probe's accuracy.
+[[nodiscard]] BoundaryResult search_boundary(
+    nn::Graph& model, const data::SyntheticImageDataset& dataset,
+    const std::function<double(const nn::CutPoint&)>& probe, const BoundaryConfig& config);
 
 /// Run Algorithm 1. `make_attack` supplies a fresh IDPA per probe (the
 /// paper uses DINA for the final system; MLA/EINA for comparison).

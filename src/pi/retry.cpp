@@ -7,21 +7,25 @@
 
 namespace c2pi::pi {
 
+namespace {
+constexpr double kBackoffMultiplier = 2.0;  ///< growth factor per attempt
+/// Fraction of the computed delay replaced by jitter: the delay is drawn
+/// from [(1 - kJitter) * d, d]. Decorrelates a retry storm.
+constexpr double kJitter = 0.5;
+}  // namespace
+
 void RetryPolicy::validate() const {
     require(max_attempts >= 1, "RetryPolicy: max_attempts must be >= 1");
     require(initial_backoff_ms >= 0, "RetryPolicy: initial_backoff_ms must be >= 0");
     require(max_backoff_ms >= initial_backoff_ms,
             "RetryPolicy: max_backoff_ms must be >= initial_backoff_ms");
-    require(multiplier >= 1.0, "RetryPolicy: multiplier must be >= 1");
-    require(jitter >= 0.0 && jitter <= 1.0, "RetryPolicy: jitter must lie in [0, 1]");
 }
 
 int RetryPolicy::backoff_ms(int attempt) const {
     if (attempt <= 1) return 0;
     const double grown =
-        static_cast<double>(initial_backoff_ms) * std::pow(multiplier, attempt - 2);
+        static_cast<double>(initial_backoff_ms) * std::pow(kBackoffMultiplier, attempt - 2);
     const double capped = std::min(grown, static_cast<double>(max_backoff_ms));
-    if (jitter <= 0.0) return static_cast<int>(capped);
     // SplitMix64 over (seed, attempt): deterministic, replayable, and
     // different seeds decorrelate a storm of identical clients.
     std::uint64_t s = jitter_seed + static_cast<std::uint64_t>(attempt) * 0x9e3779b97f4a7c15ULL;
@@ -29,8 +33,7 @@ int RetryPolicy::backoff_ms(int attempt) const {
     s = (s ^ (s >> 27)) * 0x94d049bb133111ebULL;
     s ^= s >> 31;
     const double unit = static_cast<double>(s >> 11) * 0x1.0p-53;  // [0, 1)
-    // Delay drawn from [(1 - jitter) * capped, capped].
-    return static_cast<int>(capped * (1.0 - jitter * unit));
+    return static_cast<int>(capped * (1.0 - kJitter * unit));
 }
 
 void detail_sleep_ms(int milliseconds) {

@@ -26,15 +26,13 @@
 
 namespace c2pi::pi {
 
-/// Backoff schedule for admission retries.
+/// Backoff schedule for admission retries: the delay before attempt k
+/// is d = min(initial_backoff_ms * 2^(k-2), max_backoff_ms), drawn from
+/// [d/2, d] by the seeded jitter stream.
 struct RetryPolicy {
     int max_attempts = 5;         ///< total tries, including the first
     int initial_backoff_ms = 50;  ///< delay after the first failure
     int max_backoff_ms = 2'000;   ///< cap for the exponential growth
-    double multiplier = 2.0;      ///< growth factor per attempt
-    /// Fraction of the computed delay replaced by jitter (0 = none,
-    /// 0.5 = delay drawn from [0.5d, d]). Decorrelates a retry storm.
-    double jitter = 0.5;
     std::uint64_t jitter_seed = 1;  ///< deterministic jitter stream
 
     /// Delay before attempt `attempt` (1-based; attempt 1 has none).

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "fss/compare.hpp"
 #include "fss/key_pool.hpp"
@@ -111,58 +110,6 @@ std::vector<Ring> reshare_canonical(mpc::PartyContext& ctx, std::vector<Ring> sh
     return share;
 }
 
-/// Cross-layer overlap (pipelined sessions, server only): while a
-/// nonlinear layer's OT/GC/FSS round trips are in flight, pre-draw the
-/// NEXT linear layer's output masks from share_prg() on a helper thread
-/// and stash them in the context. The server's share stream is consumed
-/// ONLY by linear-layer masks, in layer order (context.hpp), so drawing
-/// them early cannot change any value — next_mask_draw() replays the
-/// stash in the exact order the live stream would have produced. The
-/// client never prefetches: its share stream also feeds encryption noise
-/// and post-nonlinear resharing, which interleave with these rounds.
-/// Synchronization is by thread create/join only; the protocol thread
-/// never touches share_prg() while the helper runs.
-class MaskPrefetch {
-public:
-    MaskPrefetch(mpc::PartyContext& ctx, const std::vector<LayerPlan>& plan, std::size_t after)
-        : ctx_(ctx) {
-        if (!ctx_.is_server() || !ctx_.pipeline() || ctx_.has_stashed_mask_draws()) return;
-        std::int64_t count = 0;
-        for (std::size_t j = after + 1; j < plan.size(); ++j) {
-            if (plan[j].op == PlanOp::kConv || plan[j].op == PlanOp::kLinear) {
-                count = shape_numel(plan[j].out_shape);
-                break;
-            }
-        }
-        if (count <= 0) return;
-        thread_ = std::thread([this, count] {
-            draws_.resize(static_cast<std::size_t>(count));
-            for (auto& d : draws_) d = ctx_.share_prg().next_u64();
-        });
-    }
-
-    /// Joins and hands the draws to the context. Call after the nonlinear
-    /// layer completes; if an exception unwinds past instead, the
-    /// destructor just joins — the session is dead, the stream state
-    /// no longer matters.
-    void commit() {
-        if (!thread_.joinable()) return;
-        thread_.join();
-        ctx_.stash_mask_draws(std::move(draws_));
-    }
-
-    ~MaskPrefetch() {
-        if (thread_.joinable()) thread_.join();
-    }
-    MaskPrefetch(const MaskPrefetch&) = delete;
-    MaskPrefetch& operator=(const MaskPrefetch&) = delete;
-
-private:
-    mpc::PartyContext& ctx_;
-    std::vector<Ring> draws_;
-    std::thread thread_;
-};
-
 struct PartyRun {
     const std::vector<LayerPlan>& plan;
     const std::vector<LayerCache>& caches;  ///< compile-time HE precompute
@@ -228,20 +175,15 @@ struct PartyRun {
                     for (auto& v : cur) v = fmt.truncate(v);
                     break;
                 }
-                case PlanOp::kRelu: {
-                    MaskPrefetch prefetch(ctx, plan, i);
+                case PlanOp::kRelu:
                     cur = reshare_canonical(ctx, mpc::secure_relu(ctx, cur, nonlinear));
-                    prefetch.commit();
                     break;
-                }
                 case PlanOp::kMaxPool: {
-                    MaskPrefetch prefetch(ctx, plan, i);
                     mpc::RingTensor t(p.in_shape, std::move(cur));
                     cur = reshare_canonical(
                         ctx,
                         mpc::secure_maxpool(ctx, t, p.pool_kernel, p.pool_stride, nonlinear)
                             .data);
-                    prefetch.commit();
                     break;
                 }
                 case PlanOp::kAvgPool:
@@ -422,9 +364,9 @@ PiStats stats_from_run(const net::RunResult& run) {
 
 PiResult run_private_inference(const CompiledModel& model, const SessionConfig& config,
                                const Tensor& input) {
-    // Validate before spawning the parties: a client-side failure mid-
-    // protocol poisons the peer, whose secondary error would mask the
-    // root cause (run_two_party rethrows the server's exception first).
+    // Validate before spawning the parties: a bad input is rejected with
+    // its typed error on the caller's thread, before the server has done
+    // any work for a session the client cannot complete.
     validate_client_input(model, input);
     const ServerSession server(model, config);
     const ClientSession client(model, config);

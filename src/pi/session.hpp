@@ -49,8 +49,8 @@ struct SessionConfig {
     /// differs raises NonlinearMismatch instead of hanging mid-protocol.
     std::optional<mpc::NonlinearBackend> nonlinear;
     /// Compute/communication overlap (docs/PROTOCOL.md §10): pipelined
-    /// transport sends, chunked HE response streaming, and cross-layer
-    /// mask prefetch. Purely local scheduling — wire bytes, frame order,
+    /// transport sends and chunked HE response streaming. Purely local
+    /// scheduling — wire bytes, frame order,
     /// and logits are bit-identical either way, so the two parties need
     /// NOT agree on this field. Default on; --no-pipeline in the demos.
     bool pipeline = pipeline_default();
@@ -138,8 +138,7 @@ private:
 /// Validate a client input against a public artifact: a single [1,C,H,W]
 /// tensor matching the artifact's input shape. Throws c2pi::Error
 /// otherwise. Every serving entry point calls this up front so a bad
-/// input fails with its root cause instead of a poisoned-peer protocol
-/// error.
+/// input fails with its typed error before any protocol work starts.
 void validate_client_input(const ModelArtifact& artifact, const Tensor& input);
 inline void validate_client_input(const CompiledModel& model, const Tensor& input) {
     validate_client_input(model.artifact(), input);

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <random>
 #include <thread>
 
 #include "net/runtime.hpp"
@@ -32,8 +35,7 @@ ModelArtifact demo_artifact(bool full_pi = false) {
 }
 
 /// A DAG artifact: resnet9 at smoke scale, cut past the first residual
-/// block so the crypto-prefix plan carries a kResidualAdd entry and the
-/// codec must emit version 2.
+/// block so the crypto-prefix plan carries a kResidualAdd entry.
 ModelArtifact resnet_artifact() {
     const nn::Graph model = demo::make_remote_model("resnet9");
     const auto opts = demo::remote_compile_options(model, "resnet9", /*full_pi=*/false);
@@ -48,7 +50,9 @@ ModelArtifact resnet_artifact() {
 TEST(ArtifactCodec, RoundTripIsByteStable) {
     const ModelArtifact artifact = demo_artifact();
     const auto bytes = artifact.serialize();
-    ASSERT_FALSE(bytes.empty());
+    ASSERT_GE(bytes.size(), 6u);
+    EXPECT_EQ(bytes[4], 2);  // version u16 LE after the 4-byte magic: chain plans too
+    EXPECT_EQ(bytes[5], 0);
 
     const ModelArtifact back = ModelArtifact::deserialize(bytes);
     EXPECT_EQ(back, artifact);
@@ -88,25 +92,22 @@ TEST(ArtifactCodec, RejectsBadMagic) {
 }
 
 TEST(ArtifactCodec, RejectsVersionMismatch) {
-    auto bytes = demo_artifact().serialize();
-    bytes[4] = 3;  // version u16 lives right after the 4-byte magic; 1 and 2 are supported
-    try {
-        (void)ModelArtifact::deserialize(bytes);
-        FAIL() << "future codec version must throw";
-    } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+    // The version u16 lives right after the 4-byte magic; only 2 is
+    // supported — the retired edge-less v1 layout and a future v3 alike
+    // must throw.
+    for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{3}}) {
+        auto bytes = demo_artifact().serialize();
+        bytes[4] = version;
+        try {
+            (void)ModelArtifact::deserialize(bytes);
+            FAIL() << "codec version " << int{version} << " must throw";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+        }
     }
 }
 
 // -------------------------------------------------------- v2 (DAG) codec ---
-
-TEST(ArtifactCodecV2, ChainPlansStillEmitVersion1) {
-    // The pre-DAG wire format is load-bearing: sequential models must
-    // keep producing byte-identical v1 artifacts after the Graph refactor.
-    const auto bytes = demo_artifact().serialize();
-    EXPECT_EQ(bytes[4], 1);  // version u16 LE after the 4-byte magic
-    EXPECT_EQ(bytes[5], 0);
-}
 
 TEST(ArtifactCodecV2, DagRoundTripIsByteStable) {
     const ModelArtifact artifact = resnet_artifact();
@@ -129,17 +130,6 @@ TEST(ArtifactCodecV2, RejectsEveryTruncation) {
                          std::span<const std::uint8_t>(bytes.data(), len)),
                      Error)
             << "prefix of " << len << " bytes must not decode";
-    }
-}
-
-TEST(ArtifactCodecV2, V1BytesSynthesizeChainEdges) {
-    // A v1 payload (no edge fields on the wire) must decode to the
-    // canonical chain edges so old artifacts keep working unchanged.
-    const auto bytes = demo_artifact().serialize();
-    const ModelArtifact back = ModelArtifact::deserialize(bytes);
-    for (std::size_t i = 0; i < back.plan.size(); ++i) {
-        EXPECT_EQ(back.plan[i].input0, static_cast<std::int64_t>(i) - 1);
-        EXPECT_EQ(back.plan[i].input1, -1);
     }
 }
 
@@ -228,6 +218,93 @@ TEST(ArtifactCodec, RejectsCorruptPlan) {
         EXPECT_THROW((void)ModelArtifact::deserialize(bad.serialize()), Error);
     }
 }
+
+// ---------------------------------------------------- mutation fuzzing ---
+
+/// Byte offsets of every 8-byte integer field of a serialized artifact,
+/// found by walking the layout of docs/PROTOCOL.md §3.
+std::vector<std::size_t> i64_field_offsets(const std::vector<std::uint8_t>& bytes) {
+    std::vector<std::size_t> offsets;
+    std::size_t pos = 10;  // magic + version + total length
+    const auto i64s = [&](int n) {
+        for (int k = 0; k < n; ++k, pos += 8) offsets.push_back(pos);
+    };
+    const auto shape = [&] { i64s(bytes[pos++]); };
+    shape();     // input_chw
+    i64s(1);     // cut.linear_index
+    pos += 2;    // cut.after_relu, full_pi
+    i64s(1);     // num_linear_ops
+    pos += 4;    // frac_bits
+    i64s(1);     // he_ring_degree
+    pos += 8;    // he_limbs, he_noise_bound
+    std::uint32_t entries = 0;
+    std::memcpy(&entries, bytes.data() + pos, 4);
+    pos += 4;
+    for (std::uint32_t e = 0; e < entries; ++e) {
+        pos += 1;  // op
+        i64s(11);  // geometry, features, pooling
+        shape();   // in_shape
+        shape();   // out_shape
+        i64s(2);   // input0, input1
+    }
+    EXPECT_EQ(pos, bytes.size()) << "layout walk out of step with the codec";
+    return offsets;
+}
+
+/// Seeded mutation fuzzing of the artifact decoder: every mutant must
+/// either be rejected with a typed c2pi::Error or decode to an artifact
+/// that passes validate() — never crash, over-allocate, or throw
+/// anything else (the ASan+UBSan CI leg checks the memory side).
+void fuzz_decoder(const ModelArtifact& artifact, std::uint64_t seed) {
+    const auto original = artifact.serialize();
+    const auto fields = i64_field_offsets(original);
+    ASSERT_FALSE(fields.empty());
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+    constexpr std::int64_t kFieldValues[] = {0, -1, std::numeric_limits<std::int64_t>::max()};
+
+    int rejected = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        auto bytes = original;
+        const int kind = static_cast<int>(rng() % 5);
+        switch (kind) {
+            case 0:  // byte overwrite
+                bytes[pick(bytes.size())] = static_cast<std::uint8_t>(rng());
+                break;
+            case 1:  // bit flip
+                bytes[pick(bytes.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
+                break;
+            case 2: {  // i64 field set to an edge value
+                const std::int64_t v = kFieldValues[pick(3)];
+                std::memcpy(bytes.data() + fields[pick(fields.size())], &v, 8);
+                break;
+            }
+            case 3:  // truncation
+                bytes.resize(pick(bytes.size()));
+                break;
+            default:  // appended bytes
+                for (std::size_t k = 1 + pick(16); k > 0; --k)
+                    bytes.push_back(static_cast<std::uint8_t>(rng()));
+                break;
+        }
+        try {
+            const ModelArtifact back = ModelArtifact::deserialize(bytes);
+            EXPECT_NO_THROW(back.validate()) << "trial " << trial << " (mutation " << kind << ")";
+        } catch (const Error&) {
+            ++rejected;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "trial " << trial << " (mutation " << kind
+                          << ") threw a non-c2pi exception: " << e.what();
+        }
+    }
+    // Most mutations must be caught; a decoder that silently accepted
+    // everything would pass the per-trial check vacuously.
+    EXPECT_GT(rejected, 1000);
+}
+
+TEST(ArtifactCodecFuzz, ChainArtifactMutations) { fuzz_decoder(demo_artifact(), 0xA47F1); }
+
+TEST(ArtifactCodecFuzz, DagArtifactMutations) { fuzz_decoder(resnet_artifact(), 0xDA6); }
 
 TEST(ArtifactModelBinding, CompiledModelRejectsForeignArtifact) {
     // Serving weights against an artifact for a DIFFERENT architecture

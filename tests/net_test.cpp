@@ -1,6 +1,6 @@
 // Tests for the network simulation layer: byte/message/flight accounting,
 // phase attribution, typed send/recv helpers, the LAN/WAN latency model,
-// and error propagation (peer poisoning) in the two-party runtime.
+// and root-cause error propagation in the two-party runtime.
 
 #include <gtest/gtest.h>
 
@@ -143,12 +143,38 @@ TEST(Runtime, PropagatesServerException) {
 }
 
 TEST(Runtime, PropagatesClientExceptionWhileServerBlocks) {
-    // The poisoning mechanism must unblock the peer waiting on recv.
+    // The dead client must unblock the server waiting on recv, and the
+    // caller must see the client's root cause, not the server's
+    // secondary failure.
     DuplexChannel channel;
+    try {
+        (void)run_two_party(
+            channel, [](Transport& t) { (void)t.recv_u64(); },
+            [](Transport&) { fail("client exploded"); });
+        FAIL() << "client failure must propagate";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("client exploded"), std::string::npos) << e.what();
+    }
+}
+
+TEST(Runtime, SurvivorRecvRaisesPeerClosed) {
+    // The survivor's blocked recv ends with PeerClosed — not with an
+    // empty message it would have to reject on size.
+    DuplexChannel channel;
+    bool survivor_saw_peer_closed = false;
     EXPECT_THROW(run_two_party(
-                     channel, [](Transport& t) { (void)t.recv_u64(); },
+                     channel,
+                     [&](Transport& t) {
+                         try {
+                             (void)t.recv_bytes();
+                         } catch (const PeerClosed&) {
+                             survivor_saw_peer_closed = true;
+                             throw;
+                         }
+                     },
                      [](Transport&) { fail("client exploded"); }),
                  Error);
+    EXPECT_TRUE(survivor_saw_peer_closed);
 }
 
 TEST(Runtime, ReportsWallTime) {

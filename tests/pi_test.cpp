@@ -299,6 +299,23 @@ TEST(BoundarySearch, SsimSweepIsTailToHead) {
     EXPECT_GE(result.ssim_sweep.back().avg_ssim, cfg.ssim_threshold);
 }
 
+TEST(BoundarySearch, UnreachableBudgetFallsBackToLastCutWithLastProbeAccuracy) {
+    BoundaryFixture fx;
+    BoundaryConfig cfg;
+    cfg.max_accuracy_drop = -2.0;  // target above 100%: no cut can meet it
+    cfg.noise_lambda = 0.0F;
+    cfg.include_half_points = false;
+    // Probe overload: the attack never succeeds, so phase 2 starts at the
+    // earliest cut and probes every cut without meeting the budget.
+    const auto result = search_boundary(
+        fx.model, fx.dataset, [](const nn::CutPoint&) { return 0.0; }, cfg);
+    const auto cuts = candidate_cuts(fx.model, cfg.include_half_points);
+    EXPECT_EQ(result.ssim_sweep.size(), cuts.size());
+    ASSERT_EQ(result.accuracy_sweep.size(), cuts.size());
+    EXPECT_EQ(result.boundary, cuts.back());
+    EXPECT_EQ(result.boundary_accuracy, result.accuracy_sweep.back().noised_accuracy);
+}
+
 TEST(C2piPipeline, EndToEndWithScriptedAttack) {
     // Algorithm 1 -> compile once -> private inference, with the boundary
     // config's lambda handed to the session.

@@ -1,8 +1,8 @@
 // Pipelined-online-phase parity suite (compute/communication overlap):
-// the tentpole claim is that pipelining is pure *scheduling* — chunked
-// HE response streaming, the transport's writer-thread send queue, and
-// the cross-layer mask prefetch change WHEN work happens, never what
-// goes on the wire. Pinned here at three levels:
+// the claim is that pipelining is pure *scheduling* — chunked HE
+// response streaming and the transport's writer-thread send queue
+// change WHEN work happens, never what goes on the wire. Pinned here at
+// three levels:
 //
 //  * session (in-process): pipeline on vs off across the full
 //    {gc,ot,fss} x {Cheetah, Delphi, full-PI} matrix — bit-identical

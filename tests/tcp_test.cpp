@@ -25,7 +25,7 @@ namespace {
 /// Run `server_fn` / `client_fn` as the two endpoints of one loopback TCP
 /// connection (ephemeral port) and return each endpoint's final stats.
 /// Exceptions from either thread are rethrown on the caller (server's
-/// first, mirroring run_two_party).
+/// first).
 struct LoopbackRun {
     ChannelStats server_stats, client_stats;
 };
