@@ -13,6 +13,7 @@
 #include "crypto/garbling.hpp"
 #include "crypto/hash.hpp"
 #include "crypto/ot.hpp"
+#include "he/kernels.hpp"
 #include "net/runtime.hpp"
 
 namespace c2pi::crypto {
@@ -259,6 +260,211 @@ TEST(BitTriples, SatisfyAndRelation) {
 
 TEST(OtDealer, SetupTrafficCharged) {
     EXPECT_EQ(OtSetupPair::setup_traffic_bytes(), 128U * 3 * 16);
+}
+
+// ------------------------------------------------------- OT golden digests ---
+// The correlation tests above hold for any consistent column layout and
+// hash; these pin the exact bytes. Each case folds both parties' outputs
+// and every payload each party sent into one SHA-256, computed once per
+// kernel tier the CPU supports. A rewrite of the IKNP transpose or the
+// CR hash that changes a single output or wire byte fails here.
+
+/// Transport decorator folding every sent payload (length-prefixed)
+/// into a running SHA-256.
+class DigestingTransport final : public net::Transport {
+public:
+    explicit DigestingTransport(net::Transport& inner)
+        : Transport(inner.party_id()), inner_(&inner) {}
+
+    void send_bytes(std::span<const std::uint8_t> data) override {
+        const std::uint64_t len = data.size();
+        hasher_.update(std::span(reinterpret_cast<const std::uint8_t*>(&len), sizeof(len)));
+        hasher_.update(data);
+        inner_->send_bytes(data);
+    }
+    [[nodiscard]] std::vector<std::uint8_t> recv_bytes() override { return inner_->recv_bytes(); }
+    void recv_bytes_into(std::vector<std::uint8_t>& out) override { inner_->recv_bytes_into(out); }
+    [[nodiscard]] net::ChannelStats stats() const override { return inner_->stats(); }
+
+    [[nodiscard]] std::array<std::uint8_t, 32> finish() { return hasher_.finish(); }
+
+private:
+    net::Transport* inner_;
+    Sha256 hasher_;
+};
+
+/// Accumulates a case's outputs; `digest` adds both wire digests.
+struct GoldenSink {
+    std::vector<std::uint8_t> bytes;
+
+    void add(std::span<const Block128> blocks) {
+        for (const auto& b : blocks) {
+            std::uint8_t buf[16];
+            b.to_bytes(buf);
+            bytes.insert(bytes.end(), buf, buf + 16);
+        }
+    }
+    void add(std::span<const std::uint64_t> words) {
+        for (const auto w : words) {
+            const auto* p = reinterpret_cast<const std::uint8_t*>(&w);
+            bytes.insert(bytes.end(), p, p + 8);
+        }
+    }
+    void add(std::span<const std::uint8_t> raw) { bytes.insert(bytes.end(), raw.begin(), raw.end()); }
+};
+
+/// Runs a two-party OT case over digesting transports and returns
+/// hex(SHA-256(outputs || party-0 wire digest || party-1 wire digest)).
+template <typename Party0, typename Party1>
+std::string golden_digest(Party0&& party0, Party1&& party1) {
+    net::DuplexChannel channel;
+    GoldenSink out0, out1;
+    std::array<std::uint8_t, 32> wire0{}, wire1{};
+    net::run_two_party(
+        channel,
+        [&](net::Transport& t) {
+            DigestingTransport d(t);
+            party0(d, out0);
+            wire0 = d.finish();
+        },
+        [&](net::Transport& t) {
+            DigestingTransport d(t);
+            party1(d, out1);
+            wire1 = d.finish();
+        });
+    Sha256 h;
+    h.update(out0.bytes);
+    h.update(out1.bytes);
+    h.update(wire0);
+    h.update(wire1);
+    return hex(h.finish());
+}
+
+/// Checks `run()` against `golden` under every supported kernel tier.
+template <typename Run>
+void expect_golden_under_every_tier(const std::string& golden, Run&& run) {
+    for (const auto* k : he::kernels::supported()) {
+        he::kernels::set_active_for_testing(k);
+        const std::string got = run();
+        he::kernels::set_active_for_testing(nullptr);
+        EXPECT_EQ(got, golden) << "kernel tier " << k->name;
+    }
+}
+
+TEST(OtGolden, IknpExtendTwiceInARow) {
+    const OtSetupPair setup = dealer_base_ots(Block128{0xAB, 0xCD});
+    const std::pair<std::size_t, const char*> cases[] = {
+        {1, "8717e52ad34b03da29a3f74af836f313de2b97937390e360a047d78560907470"},
+        {7, "736a8c3eab2020381e3c377ab8e23cd8c219b5b6740613e989a662fa4de02928"},
+        {8, "21bc94d98950954b6ebf7e38bca0aa0e3a59cff0bee84ebe7c65b11090c0c32e"},
+        {129, "22020b102b2cda17e41076b8bf0fdd47ef296d549a88385e592dd344fb2d98a5"},
+        {4096, "744a5db10c1051ba996edf6fd61a749baae1a071b74407cc05aa346a8adae125"},
+    };
+    for (const auto& [n, golden] : cases) {
+        ChaCha20Prg choice_prg(Block128{9, n});
+        const auto choices1 = choice_prg.next_bits(n);
+        const auto choices2 = choice_prg.next_bits(n);
+        expect_golden_under_every_tier(golden, [&] {
+            return golden_digest(
+                [&](net::Transport& t, GoldenSink& out) {
+                    IknpSender ext(setup.sender);
+                    for (int rep = 0; rep < 2; ++rep) {
+                        const auto rot = ext.extend(t, n);
+                        out.add(rot.m0);
+                        out.add(rot.m1);
+                    }
+                },
+                [&](net::Transport& t, GoldenSink& out) {
+                    IknpReceiver ext(setup.receiver);
+                    out.add(ext.extend(t, choices1).m);
+                    out.add(ext.extend(t, choices2).m);
+                });
+        });
+    }
+}
+
+TEST(OtGolden, ChosenMessageOts) {
+    const OtSetupPair setup = dealer_base_ots(Block128{0xAB, 0xCD});
+    const std::size_t n = 100;
+    std::vector<Block128> b0(n), b1(n);
+    std::vector<std::uint64_t> w0(n), w1(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        b0[i] = {i, 3 * i + 1};
+        b1[i] = {7 * i + 2, ~i};
+        w0[i] = 0x1000 + i;
+        w1[i] = ~(0x2000 + i);
+    }
+    ChaCha20Prg choice_prg(Block128{17, 19});
+    const auto choices = choice_prg.next_bits(n);
+    expect_golden_under_every_tier(
+        "6f32e6b7b4438d14f58d624030b5e557bcf58b6dcab597d8925b7730bc9597e3", [&] {
+            return golden_digest(
+                [&](net::Transport& t, GoldenSink&) {
+                    IknpSender ext(setup.sender);
+                    ot_send_blocks(t, ext, b0, b1);
+                    ot_send_u64_pairs(t, ext, w0, w1);
+                },
+                [&](net::Transport& t, GoldenSink& out) {
+                    IknpReceiver ext(setup.receiver);
+                    out.add(ot_recv_blocks(t, ext, choices));
+                    out.add(ot_recv_u64s(t, ext, choices));
+                });
+        });
+}
+
+TEST(OtGolden, OneOfNOts) {
+    const OtSetupPair setup = dealer_base_ots(Block128{0xAB, 0xCD});
+    const std::size_t groups = 70;
+    for (const std::size_t options : {2UL, 16UL}) {
+        std::vector<std::uint8_t> messages(groups * options);
+        for (std::size_t i = 0; i < messages.size(); ++i)
+            messages[i] = static_cast<std::uint8_t>((i * 37 + options) & 0xFF);
+        std::vector<std::uint16_t> indices(groups);
+        for (std::size_t g = 0; g < groups; ++g)
+            indices[g] = static_cast<std::uint16_t>((g * 7 + 3) % options);
+        const std::string golden =
+            options == 2 ? "482ffb14e9955c84e76126e6ea7557ba4e341705730893bb6f975febb6915d67"
+                         : "23453b2ca9ab8df60c250b0458fb54b92a5e52655307301ab39531bc3978e71e";
+        expect_golden_under_every_tier(golden, [&] {
+            return golden_digest(
+                [&](net::Transport& t, GoldenSink&) {
+                    IknpSender ext(setup.sender);
+                    ot_1_of_n_send(t, ext, messages, groups, options);
+                },
+                [&](net::Transport& t, GoldenSink& out) {
+                    IknpReceiver ext(setup.receiver);
+                    out.add(ot_1_of_n_recv(t, ext, indices, options));
+                });
+        });
+    }
+}
+
+TEST(OtGolden, BitTriples) {
+    const OtSetupPair setup_a = dealer_base_ots(Block128{0xAB, 0xCD});
+    const OtSetupPair setup_b = dealer_base_ots(Block128{0x11, 0x22});
+    const std::size_t n = 500;
+    expect_golden_under_every_tier(
+        "402e28969a611fa5f708c69761534b1c15713ce5f634f942ec8b33da830ae1f7", [&] {
+            return golden_digest(
+                [&](net::Transport& t, GoldenSink& out) {
+                    IknpSender se(setup_a.sender);
+                    IknpReceiver re(setup_b.receiver);
+                    ChaCha20Prg prg(Block128{5, 0});
+                    const BitTriples tr = bit_triples_party(t, se, re, n, prg);
+                    out.add(tr.a);
+                    out.add(tr.b);
+                    out.add(tr.c);
+                },
+                [&](net::Transport& t, GoldenSink& out) {
+                    IknpSender se(setup_b.sender);
+                    IknpReceiver re(setup_a.receiver);
+                    ChaCha20Prg prg(Block128{6, 0});
+                    const BitTriples tr = bit_triples_party(t, se, re, n, prg);
+                    out.add(tr.a);
+                    out.add(tr.b);
+                    out.add(tr.c);
+                });
+        });
 }
 
 // ----------------------------------------------------------- circuits & GC ---

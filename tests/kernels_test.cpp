@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "crypto/chacha20.hpp"
+#include "crypto/hash.hpp"
 #include "fss/dcf.hpp"
 #include "he/kernels.hpp"
 #include "he/modmath.hpp"
@@ -324,6 +325,31 @@ TEST_F(KernelsTest, PrgStreamUnchangedByBatching) {
         got.insert(got.end(), piece.begin(), piece.end());
     }
     EXPECT_EQ(got, expect);
+}
+
+// Known answers of the tweakable CR hash (two-key SipHash-2-4 over
+// tweak || x), recorded from the one-at-a-time reference. They keep the
+// reference itself from drifting along with a batched rewrite.
+struct CrHashKat {
+    std::uint64_t tweak;
+    c2pi::crypto::Block128 x, h;
+};
+constexpr CrHashKat kCrHashKats[] = {
+    {0x0000000000000000ULL, {0x0000000000000000ULL, 0x0000000000000000ULL},
+     {0x6f9260fab507e5c9ULL, 0xa60cda79abce450eULL}},
+    {0x0000000000000001ULL, {0x0123456789abcdefULL, 0xfedcba9876543210ULL},
+     {0x31a97d6dd094bb23ULL, 0x062d0068ed5ec30bULL}},
+    {0xffffffffffffffffULL, {0xffffffffffffffffULL, 0xffffffffffffffffULL},
+     {0x789d9bbc2f1c51deULL, 0x6c8287bec19121feULL}},
+    {0x8000000000000000ULL, {0x000000000000002aULL, 0x0000000000000000ULL},
+     {0x5caf7a0ee80b672dULL, 0xfa02541a7d76c7aeULL}},
+};
+
+TEST_F(KernelsTest, CrHashKnownAnswers) {
+    for (const auto& kat : kCrHashKats) {
+        EXPECT_EQ(c2pi::crypto::cr_hash(kat.tweak, kat.x), kat.h) << "tweak " << kat.tweak;
+        EXPECT_EQ(c2pi::crypto::cr_hash_u64(kat.tweak, kat.x), kat.h.lo) << "tweak " << kat.tweak;
+    }
 }
 
 TEST_F(KernelsTest, NttRoundTripPerVariant) {

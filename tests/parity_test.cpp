@@ -16,8 +16,10 @@
 #include <thread>
 
 #include "core/rng.hpp"
+#include "crypto/hash.hpp"
 #include "he/kernels.hpp"
 #include "mpc/linear.hpp"
+#include "mpc/nonlinear.hpp"
 #include "net/runtime.hpp"
 #include "net/tcp.hpp"
 #include "pi/session.hpp"
@@ -346,6 +348,76 @@ TEST(KernelDispatchParity, ScalarVsBestBitIdenticalAcrossBackends) {
             EXPECT_EQ(best_run.client_sent[i], scalar_run.client_sent[i])
                 << combo.name << ": client message " << i << " diverged";
     }
+}
+
+// ------------------------------------------------- OT nonlinear golden bytes ---
+// The tier-parity run above compares two runs of one build, so a change
+// that alters the OT stack identically in every run would pass it. These
+// pin the OT backend's secure_relu / secure_maxpool transcripts (every
+// payload both parties sent) and output shares as SHA-256 digests, under
+// every supported kernel tier.
+
+std::string transcript_digest(const Transcript& tr) {
+    crypto::Sha256 h;
+    auto add = [&](std::span<const std::uint8_t> bytes) {
+        const std::uint64_t len = bytes.size();
+        h.update(std::span(reinterpret_cast<const std::uint8_t*>(&len), sizeof(len)));
+        h.update(bytes);
+    };
+    for (const auto& m : tr.server_sent) add(m);
+    for (const auto& m : tr.client_sent) add(m);
+    for (const auto* out : {&tr.server_out, &tr.client_out})
+        add(std::span(reinterpret_cast<const std::uint8_t*>(out->data()), out->size() * 8));
+    static const char* digits = "0123456789abcdef";
+    std::string s;
+    for (const auto b : h.finish()) {
+        s += digits[b >> 4];
+        s += digits[b & 0xF];
+    }
+    return s;
+}
+
+template <typename ServerFn, typename ClientFn>
+void expect_ot_golden(const char* golden, const char* what, ServerFn&& server_fn,
+                      ClientFn&& client_fn) {
+    const he::BfvContext bfv({.n = 256, .limbs = 4});
+    for (const auto* k : he::kernels::supported()) {
+        he::kernels::set_active_for_testing(k);
+        const Transcript tr = run_recorded(bfv, server_fn, client_fn);
+        he::kernels::set_active_for_testing(nullptr);
+        EXPECT_EQ(transcript_digest(tr), golden) << what << " under kernel tier " << k->name;
+    }
+}
+
+TEST(OtNonlinearGolden, SecureReluTranscriptAndShares) {
+    const auto y0 = random_ring(300, 11);
+    const auto y1 = random_ring(300, 12);
+    expect_ot_golden(
+        "03a68d1f7981d30ea97eedb42c0ccc4cd81f7b7a13de7def0744dbda4afe29dc", "secure_relu",
+        [&](mpc::PartyContext& ctx) {
+            return mpc::secure_relu(ctx, y0, mpc::NonlinearBackend::kOtMillionaire);
+        },
+        [&](mpc::PartyContext& ctx) {
+            return mpc::secure_relu(ctx, y1, mpc::NonlinearBackend::kOtMillionaire);
+        });
+}
+
+TEST(OtNonlinearGolden, SecureMaxpoolTranscriptAndShares) {
+    const Shape shape{3, 8, 8};
+    const auto x0 = random_ring(3 * 8 * 8, 13);
+    const auto x1 = random_ring(3 * 8 * 8, 14);
+    expect_ot_golden(
+        "02c0ea6e35777fdd9b675c80467376c453beff5722a26b3fe13678afcd24c883", "secure_maxpool",
+        [&](mpc::PartyContext& ctx) {
+            return mpc::secure_maxpool(ctx, mpc::RingTensor(shape, x0), 2, 2,
+                                       mpc::NonlinearBackend::kOtMillionaire)
+                .data;
+        },
+        [&](mpc::PartyContext& ctx) {
+            return mpc::secure_maxpool(ctx, mpc::RingTensor(shape, x1), 2, 2,
+                                       mpc::NonlinearBackend::kOtMillionaire)
+                .data;
+        });
 }
 
 // --------------------------------------------------- transport-level parity ---
