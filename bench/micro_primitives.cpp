@@ -3,7 +3,8 @@
 // explain Table II: NTT, BFV ops, the HE linear-layer server hot loops
 // over the compiled PlainNtt cache, garbled-circuit ReLU, the OT
 // millionaire DReLU, the key dealing and per-backend online ReLU of
-// the FSS subsystem, IKNP throughput, and the float conv kernel.
+// the FSS subsystem, IKNP throughput, the batched CR hash, and the float
+// conv kernel.
 //
 // Set C2PI_BENCH_JSON=<path> to also write the results as JSON
 // (google-benchmark's native format); C2PI_FAST=1 shrinks min-time for
@@ -24,6 +25,7 @@
 #include "fss/compare.hpp"
 #include "fss/key_pool.hpp"
 #include "he/bfv.hpp"
+#include "he/kernels.hpp"
 #include "mpc/linear.hpp"
 #include "mpc/nonlinear.hpp"
 #include "net/runtime.hpp"
@@ -385,6 +387,24 @@ void BM_CrHash(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CrHash);
+
+void BM_CrHashBatch(benchmark::State& state) {
+    // The batched kernel slot behind IKNP column hashing and the 1-of-N
+    // pads, on the active tier (force one with C2PI_KERNELS).
+    const std::size_t n = 8192;
+    crypto::ChaCha20Prg prg(crypto::Block128{6, 7});
+    std::vector<crypto::Block128> x(n), out(n);
+    for (auto& b : x) b = prg.next_block();
+    const crypto::Block128 delta = prg.next_block();
+    for (auto _ : state) {
+        crypto::cr_hash_many(x, out, 0, delta, /*lo_only=*/false);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+    state.SetLabel(he::kernels::active().name);
+}
+BENCHMARK(BM_CrHashBatch)->Unit(benchmark::kMicrosecond);
 
 // -- streamed-response pipelining benchmark -----------------------------------
 // End-to-end HE conv layer (both parties, real protocol) over a link

@@ -16,7 +16,9 @@ warning; a slowdown above --fail (default 30%) on one of the
 SERVER-ONLINE HOT-LOOP benches (the per-request serving cost the whole
 compile-once design optimizes for: names containing 'ServerOnline')
 fails the gate with a nonzero exit, as does one on the FSS key-dealing
-bench ('FssDeal', the server's per-session preprocessing). Cold paths
+bench ('FssDeal', the server's per-session preprocessing) or on IKNP
+random-OT extension ('IknpRandomOt', the transpose and CR hash behind
+every OT-backend comparison). Cold paths
 only ever warn — CI runners are noisy, and the gate should catch real
 hot-loop regressions, not scheduler jitter on a 2 us NTT.
 
@@ -45,8 +47,9 @@ import sys
 
 # Substrings naming the benches the gate may FAIL on (everything else is
 # warn-only). These are the per-request serving hot loops: the HE
-# server-online loops and the FSS dealing every kFss session runs.
-HOT_LOOP_MARKERS = ("ServerOnline", "FssDeal")
+# server-online loops, the FSS dealing every kFss session runs, and the
+# IKNP extension under every OT-backend ReLU and MaxPool comparison.
+HOT_LOOP_MARKERS = ("ServerOnline", "FssDeal", "IknpRandomOt")
 
 # real_time normalization to nanoseconds.
 TIME_UNITS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "core/error.hpp"
+#include "he/kernels.hpp"
+
 namespace c2pi::crypto {
 
 // ---------------------------------------------------------------- SHA-256 ---
@@ -171,9 +174,10 @@ std::uint64_t siphash24(const Block128& key, std::span<const std::uint8_t> data)
 }
 
 namespace {
-// Two independent fixed keys -> 128-bit output from two 64-bit PRFs.
-constexpr Block128 kCrKey1{0x9ae16a3b2f90404fULL, 0xc3a5c85c97cb3127ULL};
-constexpr Block128 kCrKey2{0xb492b66fbe98f273ULL, 0x9ddfea08eb382d69ULL};
+// Two independent fixed keys -> 128-bit output from two 64-bit PRFs. The
+// batched kernel (he::kernels::Kernels::cr_hash_blocks) shares them.
+constexpr Block128 kCrKey1{he::kernels::kCrHashKeys[0][0], he::kernels::kCrHashKeys[0][1]};
+constexpr Block128 kCrKey2{he::kernels::kCrHashKeys[1][0], he::kernels::kCrHashKeys[1][1]};
 }  // namespace
 
 Block128 cr_hash(std::uint64_t tweak, const Block128& x) {
@@ -188,6 +192,14 @@ std::uint64_t cr_hash_u64(std::uint64_t tweak, const Block128& x) {
     std::memcpy(buf, &tweak, 8);
     x.to_bytes(buf + 8);
     return siphash24(kCrKey1, buf);
+}
+
+void cr_hash_many(std::span<const Block128> x, std::span<Block128> out, std::uint64_t tweak0,
+                  const Block128& delta, bool lo_only) {
+    require(out.size() == x.size(), "cr_hash_many: output size mismatch");
+    he::kernels::active().cr_hash_blocks(reinterpret_cast<const std::uint64_t*>(x.data()),
+                                         reinterpret_cast<std::uint64_t*>(out.data()), x.size(),
+                                         tweak0, delta.lo, delta.hi, lo_only);
 }
 
 }  // namespace c2pi::crypto

@@ -48,4 +48,10 @@ private:
 /// elements).
 [[nodiscard]] std::uint64_t cr_hash_u64(std::uint64_t tweak, const Block128& x);
 
+/// Batched cr_hash on the active kernel tier (he/kernels.hpp):
+/// out[k] = cr_hash(tweak0 + k, x[k] ^ delta), or with lo_only
+/// {cr_hash_u64(tweak0 + k, x[k] ^ delta), 0}. out may be x itself.
+void cr_hash_many(std::span<const Block128> x, std::span<Block128> out, std::uint64_t tweak0,
+                  const Block128& delta, bool lo_only);
+
 }  // namespace c2pi::crypto

@@ -8,7 +8,16 @@
 ///    DESIGN.md §4, substitution 4). Their traffic is charged explicitly.
 ///  * IKNP OT extension (Ishai-Kilian-Nissim-Petrank 2003) is implemented
 ///    faithfully: PRG row expansion, u-matrix transmission, bit-matrix
-///    transpose, correlation-robust hashing of columns.
+///    transpose, correlation-robust hashing of columns. The transpose is
+///    blocked: the 128 x n matrix is cut into 128 x 64 tiles, each loaded
+///    as 64 two-lane words (row i and row 64 + i, 8 little-endian bytes
+///    each) and transposed in six swap stages (Hacker's Delight), which
+///    leaves whole column blocks that go straight into the output vectors.
+///    The columns are then hashed in place in batches through the
+///    kernel-dispatched CR hash (he::kernels::Kernels::cr_hash_blocks).
+///    The sender XORs the u-matrix into its expanded rows in place, in
+///    the received buffer, and each side frees its row matrix before
+///    hashing.
 ///  * Derived functionalities: chosen-message 1-of-2 OT (blocks / u64 /
 ///    bytes), 1-of-N OT (the millionaire protocol's leaves), and GF(2)
 ///    Beaver "AND" triples.
@@ -58,6 +67,12 @@ struct OtSetupPair {
 /// shared session seed.
 [[nodiscard]] OtSetupPair dealer_base_ots(const Block128& session_seed);
 
+/// How much of each random-OT hash an extension computes.
+enum class RotHash {
+    kFull,   ///< 128-bit outputs, cr_hash(tweak, column)
+    kLow64,  ///< .lo only (= cr_hash_u64), .hi zero: skips the second SipHash key
+};
+
 /// Random OTs produced by one IKNP extension.
 struct RotSenderOutput {
     std::vector<Block128> m0, m1;
@@ -72,8 +87,11 @@ class IknpSender {
 public:
     explicit IknpSender(OtSetupSender setup) : setup_(setup) {}
 
-    /// Receive the u-matrix for n OTs and output (m0, m1) pairs.
-    [[nodiscard]] RotSenderOutput extend(net::Transport& t, std::size_t n);
+    /// Receive the u-matrix for n OTs and output (m0, m1) pairs. The hash
+    /// mode changes no wire byte; both endpoints of one extension may
+    /// pick kLow64 when only .lo is read.
+    [[nodiscard]] RotSenderOutput extend(net::Transport& t, std::size_t n,
+                                         RotHash hash = RotHash::kFull);
 
 private:
     OtSetupSender setup_;
@@ -88,7 +106,8 @@ public:
 
     /// Run one extension for the given choice bits (one bit per byte).
     [[nodiscard]] RotReceiverOutput extend(net::Transport& t,
-                                           std::span<const std::uint8_t> choices);
+                                           std::span<const std::uint8_t> choices,
+                                           RotHash hash = RotHash::kFull);
 
 private:
     OtSetupReceiver setup_;

@@ -4,8 +4,10 @@
 /// Runtime-dispatched SIMD kernels for the ring-arithmetic and PRG hot
 /// loops: the NTT butterfly passes, the Shoup modular-multiply limb
 /// loops behind multiply_plain(_accumulate), the 4->2 mod-switch
-/// compose, and the batched ChaCha20 block function (one key over
-/// consecutive counters, or block 0 of many keys).
+/// compose, the batched ChaCha20 block function (one key over
+/// consecutive counters, or block 0 of many keys), and the batched
+/// tweakable CR hash of OT extension (crypto::cr_hash over many blocks,
+/// up to 8 SipHash-2-4 lanes at a time).
 ///
 /// Three variants exist — scalar, AVX2 and AVX-512 — compiled into
 /// separate translation units (only the kernel TUs carry -m arch flags,
@@ -39,6 +41,12 @@ struct ModSwitchConsts {
     u64 r64[2] = {}, r64_shoup[2] = {};           ///< 2^64 mod p_i
     u64 drop_inv[2] = {}, drop_inv_shoup[2] = {}; ///< (q3 q4)^{-1} mod p_i
 };
+
+/// The two fixed SipHash-2-4 keys {k0, k1} of the tweakable CR hash
+/// (crypto::cr_hash): key 0 yields the low 64 bits of a hash, key 1 the
+/// high 64 bits.
+inline constexpr u64 kCrHashKeys[2][2] = {{0x9ae16a3b2f90404fULL, 0xc3a5c85c97cb3127ULL},
+                                          {0xb492b66fbe98f273ULL, 0x9ddfea08eb382d69ULL}};
 
 /// One kernel variant: a table of function pointers, resolved once.
 struct Kernels {
@@ -78,6 +86,14 @@ struct Kernels {
     /// expansion of the FSS DCF trees, one tree level per call.
     void (*chacha20_multikey)(const std::uint8_t* seeds, std::size_t n, std::uint64_t nonce,
                               std::uint8_t* out) = nullptr;
+    /// Batched tweakable CR hash over n 128-bit blocks, each stored as a
+    /// (lo, hi) u64 pair (the crypto::Block128 layout): block k of `out`
+    /// = crypto::cr_hash(tweak0 + k, x[k] ^ delta), the tweak wrapping
+    /// mod 2^64. With lo_only, only the key-0 half is computed: out[k] =
+    /// {crypto::cr_hash_u64(tweak0 + k, x[k] ^ delta), 0}. out == x is
+    /// allowed (in-place hashing); other overlaps are not.
+    void (*cr_hash_blocks)(const u64* x, u64* out, std::size_t n, u64 tweak0, u64 delta_lo,
+                           u64 delta_hi, bool lo_only) = nullptr;
 };
 
 /// The variant every hot loop uses: the best tier the CPU supports,

@@ -1,6 +1,6 @@
-// AVX2 kernel variant: 4 x u64 lanes for the ring arithmetic, 8 x u32
-// lanes (8 blocks) for ChaCha20. Every operation reproduces the scalar
-// lazy-reduction sequence exactly — AVX2 has no 64x64 high multiply, so
+// AVX2 kernel variant: 4 x u64 lanes for the ring arithmetic and the
+// SipHash lanes of the CR hash, 8 x u32 lanes (8 blocks) for ChaCha20.
+// Every operation reproduces the scalar lazy-reduction sequence exactly — AVX2 has no 64x64 high multiply, so
 // mulhi/mullo are emulated from 32-bit partial products, which is still
 // a win because the butterfly's compare/select logic and the second
 // operand's low multiply vectorize alongside. The NTT's final stages
@@ -462,6 +462,53 @@ void chacha20_multikey_avx2_impl(const std::uint8_t* seeds, std::size_t n, std::
     if (n > 0) scalar_kernels()->chacha20_multikey(seeds, n, nonce, out);
 }
 
+// ---------------------------------------------------------------- CR hash ---
+
+template <int R>
+inline V rotl64_v(V x) {
+    if constexpr (R == 32) {
+        return _mm256_shuffle_epi32(x, 0xB1);
+    } else if constexpr (R == 16) {
+        const V rot16 = _mm256_setr_epi8(6, 7, 0, 1, 2, 3, 4, 5, 14, 15, 8, 9, 10, 11, 12, 13,
+                                         6, 7, 0, 1, 2, 3, 4, 5, 14, 15, 8, 9, 10, 11, 12, 13);
+        return _mm256_shuffle_epi8(x, rot16);
+    } else {
+        return _mm256_or_si256(_mm256_slli_epi64(x, R), _mm256_srli_epi64(x, 64 - R));
+    }
+}
+
+/// 4 SipHash-2-4 lanes of the 24-byte message m0 || m1 || m2 under key
+/// {k0, k1}; the 32- and 16-bit rotates are single shuffles.
+inline V siphash24_4lanes(u64 k0, u64 k1, V m0, V m1, V m2) {
+    auto bcast = [](u64 v) { return _mm256_set1_epi64x(static_cast<long long>(v)); };
+    V v0 = bcast(k0 ^ 0x736f6d6570736575ULL);
+    V v1 = bcast(k1 ^ 0x646f72616e646f6dULL);
+    V v2 = bcast(k0 ^ 0x6c7967656e657261ULL);
+    V v3 = bcast(k1 ^ 0x7465646279746573ULL);
+    auto round = [&] {
+        v0 = _mm256_add_epi64(v0, v1);
+        v2 = _mm256_add_epi64(v2, v3);
+        v1 = _mm256_xor_si256(rotl64_v<13>(v1), v0);
+        v3 = _mm256_xor_si256(rotl64_v<16>(v3), v2);
+        v0 = rotl64_v<32>(v0);
+        v2 = _mm256_add_epi64(v2, v1);
+        v0 = _mm256_add_epi64(v0, v3);
+        v1 = _mm256_xor_si256(rotl64_v<17>(v1), v2);
+        v3 = _mm256_xor_si256(rotl64_v<21>(v3), v0);
+        v2 = rotl64_v<32>(v2);
+    };
+    const V m3 = bcast(u64{24} << 56);
+    for (const V m : {m0, m1, m2, m3}) {
+        v3 = _mm256_xor_si256(v3, m);
+        round();
+        round();
+        v0 = _mm256_xor_si256(v0, m);
+    }
+    v2 = _mm256_xor_si256(v2, bcast(0xFF));
+    for (int i = 0; i < 4; ++i) round();
+    return _mm256_xor_si256(_mm256_xor_si256(v0, v1), _mm256_xor_si256(v2, v3));
+}
+
 }  // namespace
 
 namespace detail {
@@ -476,6 +523,35 @@ void chacha20_multikey_avx2(const std::uint8_t* seeds, std::size_t n, std::uint6
                             std::uint8_t* out) {
     chacha20_multikey_avx2_impl(seeds, n, nonce, out);
 }
+// The AVX2 tier's CR hash, also handed the tails of the AVX-512 8-lane
+// body (the 1-of-N receiver hashes 4 blocks per call).
+void cr_hash_blocks_avx2(const u64* x, u64* out, std::size_t n, u64 tweak0, u64 delta_lo,
+                         u64 delta_hi, bool lo_only) {
+    // unpack{lo,hi}_epi64 over blocks (0, 1) and (2, 3) yields lanes in
+    // block order 0, 2, 1, 3 — the tweak vector follows that order, and
+    // the same unpacks restore block order on the way out. Both loads
+    // precede the stores, so out == x is safe.
+    const V dlo = _mm256_set1_epi64x(static_cast<long long>(delta_lo));
+    const V dhi = _mm256_set1_epi64x(static_cast<long long>(delta_hi));
+    const V lane = _mm256_setr_epi64x(0, 2, 1, 3);
+    std::size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+        const V a = load(x + 2 * k);
+        const V b = load(x + 2 * k + 4);
+        const V lo = _mm256_xor_si256(_mm256_unpacklo_epi64(a, b), dlo);
+        const V hi = _mm256_xor_si256(_mm256_unpackhi_epi64(a, b), dhi);
+        const V tweak =
+            _mm256_add_epi64(_mm256_set1_epi64x(static_cast<long long>(tweak0 + k)), lane);
+        const V h0 = siphash24_4lanes(kCrHashKeys[0][0], kCrHashKeys[0][1], tweak, lo, hi);
+        const V h1 = lo_only ? _mm256_setzero_si256()
+                             : siphash24_4lanes(kCrHashKeys[1][0], kCrHashKeys[1][1], tweak, lo, hi);
+        store(out + 2 * k, _mm256_unpacklo_epi64(h0, h1));
+        store(out + 2 * k + 4, _mm256_unpackhi_epi64(h0, h1));
+    }
+    if (k < n)
+        scalar_kernels()->cr_hash_blocks(x + 2 * k, out + 2 * k, n - k, tweak0 + k, delta_lo,
+                                         delta_hi, lo_only);
+}
 }  // namespace detail
 
 const Kernels* avx2_kernels() {
@@ -489,6 +565,7 @@ const Kernels* avx2_kernels() {
         .mod_switch_4to2 = &mod_switch_4to2_avx2,
         .chacha20_blocks = &chacha20_blocks_avx2_impl,
         .chacha20_multikey = &chacha20_multikey_avx2_impl,
+        .cr_hash_blocks = &detail::cr_hash_blocks_avx2,
     };
     return &k;
 }

@@ -11,6 +11,9 @@
 // Multi-key ChaCha20 (the DCF tree levels) runs a 16-lane body: it is
 // compute-bound, and native rotates plus 16 lanes make it faster.
 //
+// The CR hash runs 8 SipHash-2-4 lanes with native 64-bit rotates
+// (vprolq) and hands tails of 4 or more blocks to the 4-lane AVX2 body.
+//
 // This TU (alone) is compiled with -mavx512{f,dq,bw,vl}; dispatch
 // guarantees the entry points only run after a cpuid check.
 
@@ -30,6 +33,8 @@ void chacha20_blocks_avx2(const std::uint32_t state[16], std::uint8_t* out,
                           std::size_t nblocks);
 void chacha20_multikey_avx2(const std::uint8_t* seeds, std::size_t n, std::uint64_t nonce,
                             std::uint8_t* out);
+void cr_hash_blocks_avx2(const u64* x, u64* out, std::size_t n, u64 tweak0, u64 delta_lo,
+                         u64 delta_hi, bool lo_only);
 }  // namespace detail
 
 namespace {
@@ -432,6 +437,69 @@ void chacha20_multikey_avx512(const std::uint8_t* seeds, std::size_t n, std::uin
     if (n > 0) detail::chacha20_multikey_avx2(seeds, n, nonce, out);
 }
 
+// ---------------------------------------------------------------- CR hash ---
+
+/// 8 SipHash-2-4 lanes of the 24-byte message m0 || m1 || m2 under key
+/// {k0, k1}: the scalar sequence lane-wise, with native 64-bit rotates.
+inline V siphash24_8lanes(u64 k0, u64 k1, V m0, V m1, V m2) {
+    V v0 = bcast(k0 ^ 0x736f6d6570736575ULL);
+    V v1 = bcast(k1 ^ 0x646f72616e646f6dULL);
+    V v2 = bcast(k0 ^ 0x6c7967656e657261ULL);
+    V v3 = bcast(k1 ^ 0x7465646279746573ULL);
+    auto round = [&] {
+        v0 = _mm512_add_epi64(v0, v1);
+        v2 = _mm512_add_epi64(v2, v3);
+        v1 = _mm512_xor_si512(_mm512_rol_epi64(v1, 13), v0);
+        v3 = _mm512_xor_si512(_mm512_rol_epi64(v3, 16), v2);
+        v0 = _mm512_rol_epi64(v0, 32);
+        v2 = _mm512_add_epi64(v2, v1);
+        v0 = _mm512_add_epi64(v0, v3);
+        v1 = _mm512_xor_si512(_mm512_rol_epi64(v1, 17), v2);
+        v3 = _mm512_xor_si512(_mm512_rol_epi64(v3, 21), v0);
+        v2 = _mm512_rol_epi64(v2, 32);
+    };
+    const V m3 = bcast(u64{24} << 56);
+    for (const V m : {m0, m1, m2, m3}) {
+        v3 = _mm512_xor_si512(v3, m);
+        round();
+        round();
+        v0 = _mm512_xor_si512(v0, m);
+    }
+    v2 = _mm512_xor_si512(v2, bcast(0xFF));
+    for (int i = 0; i < 4; ++i) round();
+    return _mm512_xor_si512(_mm512_xor_si512(v0, v1), _mm512_xor_si512(v2, v3));
+}
+
+void cr_hash_blocks_avx512(const u64* x, u64* out, std::size_t n, u64 tweak0, u64 delta_lo,
+                           u64 delta_hi, bool lo_only) {
+    // Blocks are (lo, hi) pairs: vpermt2q splits 8 blocks into a lo and a
+    // hi register and interleaves the two hash halves back. Both loads
+    // precede the stores, so out == x is safe.
+    const V even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+    const V odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+    const V inter_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+    const V inter_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+    const V dlo = bcast(delta_lo);
+    const V dhi = bcast(delta_hi);
+    const V lane = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+        const V a = load(x + 2 * k);
+        const V b = load(x + 2 * k + 8);
+        const V lo = _mm512_xor_si512(_mm512_permutex2var_epi64(a, even, b), dlo);
+        const V hi = _mm512_xor_si512(_mm512_permutex2var_epi64(a, odd, b), dhi);
+        const V tweak = _mm512_add_epi64(bcast(tweak0 + k), lane);
+        const V h0 = siphash24_8lanes(kCrHashKeys[0][0], kCrHashKeys[0][1], tweak, lo, hi);
+        const V h1 = lo_only ? _mm512_setzero_si512()
+                             : siphash24_8lanes(kCrHashKeys[1][0], kCrHashKeys[1][1], tweak, lo, hi);
+        store(out + 2 * k, _mm512_permutex2var_epi64(h0, inter_lo, h1));
+        store(out + 2 * k + 8, _mm512_permutex2var_epi64(h0, inter_hi, h1));
+    }
+    if (k < n)
+        detail::cr_hash_blocks_avx2(x + 2 * k, out + 2 * k, n - k, tweak0 + k, delta_lo, delta_hi,
+                                    lo_only);
+}
+
 }  // namespace
 
 const Kernels* avx512_kernels() {
@@ -445,6 +513,7 @@ const Kernels* avx512_kernels() {
         .mod_switch_4to2 = &mod_switch_4to2_avx512,
         .chacha20_blocks = &detail::chacha20_blocks_avx2,
         .chacha20_multikey = &chacha20_multikey_avx512,
+        .cr_hash_blocks = &cr_hash_blocks_avx512,
     };
     return &k;
 }

@@ -1,7 +1,9 @@
 // Scalar kernel variant — the reference semantics every SIMD tier must
 // reproduce bit-for-bit. The NTT bodies are the Harvey lazy-reduction
 // passes that lived in he/ntt.cpp before the kernel split; the ChaCha20
-// block is the RFC 8439 function that lived in crypto/chacha20.cpp.
+// block is the RFC 8439 function that lived in crypto/chacha20.cpp; the
+// CR hash is crypto::cr_hash with SipHash-2-4 unrolled for its fixed
+// 24-byte message.
 
 #include <cstring>
 
@@ -172,6 +174,47 @@ void chacha20_multikey_scalar(const std::uint8_t* seeds, std::size_t n, std::uin
     }
 }
 
+// ---------------------------------------------------------------- CR hash ---
+
+inline u64 rotl64(u64 x, int r) { return (x << r) | (x >> (64 - r)); }
+
+/// SipHash-2-4 of the 24-byte message m0 || m1 || m2 (little-endian
+/// words) under key {k0, k1}: three message compressions, the length
+/// block 24 << 56, and the finalization.
+inline u64 siphash24_3words(u64 k0, u64 k1, u64 m0, u64 m1, u64 m2) {
+    u64 v0 = k0 ^ 0x736f6d6570736575ULL;
+    u64 v1 = k1 ^ 0x646f72616e646f6dULL;
+    u64 v2 = k0 ^ 0x6c7967656e657261ULL;
+    u64 v3 = k1 ^ 0x7465646279746573ULL;
+    auto round = [&] {
+        v0 += v1; v1 = rotl64(v1, 13); v1 ^= v0; v0 = rotl64(v0, 32);
+        v2 += v3; v3 = rotl64(v3, 16); v3 ^= v2;
+        v0 += v3; v3 = rotl64(v3, 21); v3 ^= v0;
+        v2 += v1; v1 = rotl64(v1, 17); v1 ^= v2; v2 = rotl64(v2, 32);
+    };
+    for (const u64 m : {m0, m1, m2, u64{24} << 56}) {
+        v3 ^= m;
+        round();
+        round();
+        v0 ^= m;
+    }
+    v2 ^= 0xFF;
+    for (int i = 0; i < 4; ++i) round();
+    return v0 ^ v1 ^ v2 ^ v3;
+}
+
+void cr_hash_blocks_scalar(const u64* x, u64* out, std::size_t n, u64 tweak0, u64 delta_lo,
+                           u64 delta_hi, bool lo_only) {
+    for (std::size_t k = 0; k < n; ++k) {
+        const u64 tweak = tweak0 + k;
+        const u64 lo = x[2 * k] ^ delta_lo;
+        const u64 hi = x[2 * k + 1] ^ delta_hi;
+        out[2 * k] = siphash24_3words(kCrHashKeys[0][0], kCrHashKeys[0][1], tweak, lo, hi);
+        out[2 * k + 1] =
+            lo_only ? 0 : siphash24_3words(kCrHashKeys[1][0], kCrHashKeys[1][1], tweak, lo, hi);
+    }
+}
+
 }  // namespace
 
 const Kernels* scalar_kernels() {
@@ -185,6 +228,7 @@ const Kernels* scalar_kernels() {
         .mod_switch_4to2 = &mod_switch_4to2_scalar,
         .chacha20_blocks = &chacha20_blocks_scalar,
         .chacha20_multikey = &chacha20_multikey_scalar,
+        .cr_hash_blocks = &cr_hash_blocks_scalar,
     };
     return &k;
 }

@@ -5,8 +5,9 @@
 // exactly, not merely compute congruent values. Coverage includes
 // lazy-reduction boundary values (near p, 2p and 4p), non-multiple-of-
 // vector-width lengths (tail loops), the small-n scalar fallback inside
-// the SIMD NTTs, ChaCha20 counter propagation across 32-bit wraps, and
-// the multi-key ChaCha20 slot against the node PRG it replaces.
+// the SIMD NTTs, ChaCha20 counter propagation across 32-bit wraps, the
+// multi-key ChaCha20 slot against the node PRG it replaces, and the
+// batched CR hash against one-at-a-time crypto::cr_hash.
 
 #include <gtest/gtest.h>
 
@@ -73,6 +74,7 @@ TEST_F(KernelsTest, DispatchListSane) {
         EXPECT_NE(k->mod_switch_4to2, nullptr);
         EXPECT_NE(k->chacha20_blocks, nullptr);
         EXPECT_NE(k->chacha20_multikey, nullptr);
+        EXPECT_NE(k->cr_hash_blocks, nullptr);
     }
 }
 
@@ -350,6 +352,47 @@ TEST_F(KernelsTest, CrHashKnownAnswers) {
         EXPECT_EQ(c2pi::crypto::cr_hash(kat.tweak, kat.x), kat.h) << "tweak " << kat.tweak;
         EXPECT_EQ(c2pi::crypto::cr_hash_u64(kat.tweak, kat.x), kat.h.lo) << "tweak " << kat.tweak;
     }
+}
+
+/// Every tier against the one-at-a-time crypto::cr_hash / cr_hash_u64.
+void expect_cr_hash_blocks_match(std::mt19937_64& rng, std::size_t n, u64 tweak0,
+                                 c2pi::crypto::Block128 delta, bool in_place) {
+    using c2pi::crypto::Block128;
+    std::vector<Block128> x(n);
+    for (auto& b : x) b = {rng(), rng()};
+    for (const bool lo_only : {false, true}) {
+        std::vector<Block128> ref(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            ref[k] = lo_only ? Block128{c2pi::crypto::cr_hash_u64(tweak0 + k, x[k] ^ delta), 0}
+                             : c2pi::crypto::cr_hash(tweak0 + k, x[k] ^ delta);
+        }
+        for (const auto* k : kernels::supported()) {
+            std::vector<Block128> got = in_place ? x : std::vector<Block128>(n, {0xAA, 0xBB});
+            auto* out = reinterpret_cast<u64*>(got.data());
+            const auto* in = in_place ? out : reinterpret_cast<const u64*>(x.data());
+            k->cr_hash_blocks(in, out, n, tweak0, delta.lo, delta.hi, lo_only);
+            ASSERT_EQ(got, ref) << "variant " << k->name << " n=" << n << " tweak0=" << tweak0
+                                << " lo_only=" << lo_only << " in_place=" << in_place;
+        }
+    }
+}
+
+TEST_F(KernelsTest, CrHashBlocksBitIdenticalToReference) {
+    std::mt19937_64 rng(0xC2B1'000A);
+    const c2pi::crypto::Block128 zero{};
+    const c2pi::crypto::Block128 delta{0x0123456789ABCDEFULL, 0x8000000000000001ULL};
+    std::vector<std::size_t> counts;
+    for (std::size_t n = 0; n <= 17; ++n) counts.push_back(n);
+    counts.push_back(65536);
+    for (const std::size_t n : counts) {
+        for (const bool in_place : {false, true}) {
+            expect_cr_hash_blocks_match(rng, n, 1000 * n, zero, in_place);
+            expect_cr_hash_blocks_match(rng, n, 1000 * n + 7, delta, in_place);
+        }
+    }
+    // tweak0 + k wraps past UINT64_MAX in the middle of a vector batch.
+    for (const std::size_t n : {5UL, 13UL, 40UL})
+        expect_cr_hash_blocks_match(rng, n, ~u64{0} - 2, delta, true);
 }
 
 TEST_F(KernelsTest, NttRoundTripPerVariant) {
