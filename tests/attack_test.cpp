@@ -9,6 +9,7 @@
 
 #include "attack/inverse.hpp"
 #include "attack/mla.hpp"
+#include "crypto/hash.hpp"
 #include "metrics/ssim.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
@@ -156,6 +157,62 @@ TEST(InverseNet, DistillationCoefficientsConfigurable) {
     const nn::CutPoint cut{.linear_index = 2, .after_relu = true};
     const auto eval = evaluate_idpa(dina_c2, fx.model, cut, fx.dataset, 4, 0.0F, 78);
     EXPECT_GT(eval.avg_ssim, 0.0);  // trains and evaluates without error
+}
+
+/// SHA-256 of a tensor's float bytes, as lowercase hex.
+std::string tensor_digest(const Tensor& t) {
+    const auto digest = crypto::Sha256::digest(std::span(
+        reinterpret_cast<const std::uint8_t*>(t.data()), static_cast<std::size_t>(t.numel()) * 4));
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string s;
+    for (const std::uint8_t b : digest) {
+        s += kDigits[b >> 4];
+        s += kDigits[b & 0xF];
+    }
+    return s;
+}
+
+/// Pins the residual inverse blocks bit for bit: EINA's blocks project
+/// the skip (channel counts differ, one behind an Upsample) and DINA's
+/// keep the identity skip ahead of its dilated conv, so forward math,
+/// the two-term skip gradient sums and the RNG draw order all feed the
+/// recovered image. Untrained target, tiny data: cheap and exact.
+std::string recover_digest(InverseKind kind) {
+    auto dcfg = data::DatasetConfig::cifar10_like();
+    dcfg.train_size = 12;
+    dcfg.test_size = 2;
+    dcfg.image_size = 8;
+    const data::SyntheticImageDataset dataset(dcfg);
+    Rng rng(31);
+    nn::Graph target;
+    target.emplace<nn::Conv2d>(3, 4, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
+    target.emplace<nn::Relu>();
+    target.emplace<nn::MaxPool2d>(2, 2);
+    target.emplace<nn::Conv2d>(4, 6, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
+    target.emplace<nn::Relu>();
+    const nn::CutPoint cut{.linear_index = 2, .after_relu = true};
+
+    InverseConfig cfg;
+    cfg.epochs = 2;
+    cfg.train_samples = 12;
+    cfg.batch_size = 4;
+    cfg.seed = 32;
+    InverseNetAttack attack(kind, cfg);
+    attack.fit(target, cut, dataset, 0.05F);
+    EXPECT_EQ(attack.num_blocks(), 2U);
+    Rng noise(33);
+    const Tensor act = noised_activation(target, cut, dataset.test()[0].image, 0.05F, noise);
+    return tensor_digest(attack.recover(target, cut, act));
+}
+
+TEST(InverseNetGolden, ResidualRecoverDigest) {
+    EXPECT_EQ(recover_digest(InverseKind::kResidual),
+              "ccfe85a833699ca787a698619b74d89e69758282eaceba41ee1c90d59f532417");
+}
+
+TEST(InverseNetGolden, DistilledRecoverDigest) {
+    EXPECT_EQ(recover_digest(InverseKind::kDistilled),
+              "cd7331b9ee7b3577cd1b3b56f3c1e4ce6543b20777ecb0a59d643a865dbdd92a");
 }
 
 TEST(DepthPhenomenon, DeepActivationsAreHarderToInvert) {

@@ -357,17 +357,20 @@ TEST(KernelDispatchParity, ScalarVsBestBitIdenticalAcrossBackends) {
 // payload both parties sent) and output shares as SHA-256 digests, under
 // every supported kernel tier.
 
-std::string transcript_digest(const Transcript& tr) {
+/// SHA-256 over both parties' sent payloads, then `tail`, each
+/// length-prefixed, as lowercase hex.
+std::string payloads_digest(const std::vector<std::vector<std::uint8_t>>& server_sent,
+                            const std::vector<std::vector<std::uint8_t>>& client_sent,
+                            std::initializer_list<std::span<const std::uint8_t>> tail) {
     crypto::Sha256 h;
     auto add = [&](std::span<const std::uint8_t> bytes) {
         const std::uint64_t len = bytes.size();
         h.update(std::span(reinterpret_cast<const std::uint8_t*>(&len), sizeof(len)));
         h.update(bytes);
     };
-    for (const auto& m : tr.server_sent) add(m);
-    for (const auto& m : tr.client_sent) add(m);
-    for (const auto* out : {&tr.server_out, &tr.client_out})
-        add(std::span(reinterpret_cast<const std::uint8_t*>(out->data()), out->size() * 8));
+    for (const auto& m : server_sent) add(m);
+    for (const auto& m : client_sent) add(m);
+    for (const auto bytes : tail) add(bytes);
     static const char* digits = "0123456789abcdef";
     std::string s;
     for (const auto b : h.finish()) {
@@ -375,6 +378,14 @@ std::string transcript_digest(const Transcript& tr) {
         s += digits[b & 0xF];
     }
     return s;
+}
+
+std::string transcript_digest(const Transcript& tr) {
+    const auto bytes = [](const std::vector<Ring>& v) {
+        return std::span(reinterpret_cast<const std::uint8_t*>(v.data()), v.size() * 8);
+    };
+    return payloads_digest(tr.server_sent, tr.client_sent,
+                           {bytes(tr.server_out), bytes(tr.client_out)});
 }
 
 template <typename ServerFn, typename ClientFn>
@@ -459,6 +470,22 @@ TEST(SessionThreadParity, MultiThreadArtifactOverTcpMatchesInProc) {
     EXPECT_TRUE(logits.allclose(reference.logits, 0.0F));
     expect_pi_stats_equal(pi::stats_from_channel(client_stats), reference.stats,
                           "TCP vs in-process with threads");
+}
+
+// ------------------------------------------------ FSS session golden bytes ---
+// One full-PI FSS session on the demo model: every payload both parties
+// sent (the dealer-setup message, the one KEYS shipment, every reveal)
+// and the client's logits, as one SHA-256. Pins the session's key
+// schedule: the whole plan's comparisons are dealt before layer 0.
+
+TEST(FssSessionGolden, DemoFullPiTranscriptAndLogits) {
+    const SessionTranscript tr =
+        run_full_session(nullptr, pi::PiBackend::kCheetah, mpc::NonlinearBackend::kFss);
+    const std::span<const std::uint8_t> logits(
+        reinterpret_cast<const std::uint8_t*>(tr.logits.data()),
+        static_cast<std::size_t>(tr.logits.numel()) * sizeof(float));
+    EXPECT_EQ(payloads_digest(tr.server_sent, tr.client_sent, {logits}),
+              "f684eeaf7a5125a4b9f200dd2fe4b33abd02280787922a844b53e75968ae6bba");
 }
 
 }  // namespace

@@ -136,6 +136,34 @@ TEST(TcpTransport, CleanShutdownThrowsTypedErrorOnPendingRecv) {
     }
 }
 
+/// PROTOCOL.md §4: one KEYS frame per FSS session, right after the
+/// dealer-setup message. A KEYS frame where the receiver expects DATA is
+/// a protocol violation on either transport: a typed c2pi::Error, not a
+/// PeerClosed and not a silently misread payload.
+TEST(KeysFrame, WhereDataIsExpectedRaisesTypedErrorOnBothTransports) {
+    const std::vector<std::uint8_t> keys(64, 0xAB);
+    const auto expect_violation = [](auto&& recv) {
+        try {
+            recv();
+            ADD_FAILURE() << "a KEYS frame where DATA is expected must throw";
+        } catch (const PeerClosed& e) {
+            ADD_FAILURE() << "misclassified as a closed peer: " << e.what();
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("mid-protocol"), std::string::npos)
+                << e.what();
+        }
+    };
+
+    DuplexChannel channel;
+    InProcTransport server(channel, 0);
+    InProcTransport client(channel, 1);
+    server.send_keys_bytes(keys);
+    expect_violation([&] { (void)client.recv_bytes(); });
+
+    (void)run_loopback([&](Transport& t) { t.send_keys_bytes(keys); },
+                       [&](Transport& t) { expect_violation([&] { (void)t.recv_bytes(); }); });
+}
+
 TEST(TcpTransport, BusyFrameIsTypedAtSessionStartOnly) {
     // Legal (PROTOCOL.md §4): BUSY in place of the ARTIFACT frame is the
     // typed load-shedding signal.
