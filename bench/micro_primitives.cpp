@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,13 +99,14 @@ BENCHMARK(BM_BfvMultiplyPlainAccumulatePrecomputed)->Arg(4096);
 
 /// The server-side online hot loop of the HE conv protocol, per request:
 /// everything between "input ciphertexts are in NTT form" and "responses
-/// ready to ship", over the compiled PlainNtt cache (the CompiledModel
-/// thread pool parallelizes limbs). The per-request input receive/to_ntt
-/// is excluded: it is amortized over all output channels.
+/// ready to ship", over the compiled PlainNtt cache. The per-request
+/// input receive/to_ntt is excluded: it is amortized over all output
+/// channels. Serial, like every other bench here: the perf gate divides
+/// by the suite's median machine factor, which tracks per-core speed,
+/// while a pool sized to the host would also track how many cores its
+/// neighbours leave free.
 void BM_HeConvServerOnline(benchmark::State& state) {
-    const std::unique_ptr<core::ThreadPool> pool =
-        core::resolve_thread_count(0) > 1 ? std::make_unique<core::ThreadPool>(0) : nullptr;
-    const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4, .pool = pool.get()});
+    const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4});
     const he::ConvGeometry geo{.in_channels = 64,
                                .height = 16,
                                .width = 16,
@@ -157,10 +157,9 @@ BENCHMARK(BM_HeConvServerOnline)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Fully-connected counterpart: per-block weight multiply + response
 /// finalize (the input ciphertext is NTT'd once per request, outside).
+/// Serial for the same reason.
 void BM_HeMatvecServerOnline(benchmark::State& state) {
-    const std::unique_ptr<core::ThreadPool> pool =
-        core::resolve_thread_count(0) > 1 ? std::make_unique<core::ThreadPool>(0) : nullptr;
-    const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4, .pool = pool.get()});
+    const he::BfvContext ctx({.n = 4096, .limbs = 4, .noise_bound = 4});
     const std::int64_t in = 1024, out = 8;
     const he::MatVecEncoder enc(ctx, in, out);
     Rng rng(22);

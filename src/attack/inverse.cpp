@@ -1,5 +1,6 @@
 #include "attack/inverse.hpp"
 
+#include <memory>
 #include <numeric>
 
 #include "nn/layers.hpp"
@@ -9,7 +10,31 @@
 namespace c2pi::attack {
 
 namespace {
+
 Shape drop_batch(const Shape& s) { return Shape(s.begin() + 1, s.end()); }
+
+/// ResNet basic block (He et al. 2016) appended after `net`'s last node:
+/// conv3x3 -> ReLU -> conv3x3, plus the block input as the skip (through
+/// a 1x1 projection when channel counts differ), joined by a residual
+/// add and a final ReLU. Weights are drawn from `rng` in the order
+/// conv1, conv2, projection.
+void append_basic_block(nn::Graph& net, std::int64_t in_channels, std::int64_t out_channels,
+                        Rng& rng) {
+    const std::int64_t input = net.last();
+    const ops::ConvSpec conv3x3{.kernel = 3, .stride = 1, .pad = 1};
+    net.emplace<nn::Conv2d>(in_channels, out_channels, conv3x3, rng);
+    net.emplace<nn::Relu>();
+    const std::int64_t conv2 = net.add_node(
+        std::make_unique<nn::Conv2d>(out_channels, out_channels, conv3x3, rng), net.last());
+    std::int64_t skip = input;
+    if (in_channels != out_channels)
+        skip = net.add_node(std::make_unique<nn::Conv2d>(
+                                in_channels, out_channels,
+                                ops::ConvSpec{.kernel = 1, .stride = 1, .pad = 0}, rng),
+                            input);
+    net.add_node(std::make_unique<nn::Relu>(), net.add_residual(conv2, skip));
+}
+
 }  // namespace
 
 void InverseNetAttack::build(nn::Graph& model, const nn::CutPoint& cut,
@@ -76,11 +101,11 @@ void InverseNetAttack::build(nn::Graph& model, const nn::CutPoint& cut,
                     if (m - t - 1 != 0) block.net.emplace<nn::Relu>();
                     break;
                 case InverseKind::kResidual:
-                    block.net.emplace<nn::ResidualBlock>(in[0], out[0], rng);
+                    append_basic_block(block.net, in[0], out[0], rng);
                     break;
                 case InverseKind::kDistilled:
                     // Basic inverse block: ResNet basic block + dilated conv.
-                    block.net.emplace<nn::ResidualBlock>(in[0], in[0], rng);
+                    append_basic_block(block.net, in[0], in[0], rng);
                     block.net.emplace<nn::Conv2d>(
                         in[0], out[0],
                         ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 2, .dilation = 2}, rng);

@@ -252,12 +252,6 @@ public:
         return true;
     }
 
-    /// Tasks currently queued or running.
-    [[nodiscard]] std::size_t in_flight() const {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return in_flight_;
-    }
-
     /// Refuse new submissions, run everything already accepted, join the
     /// workers. Idempotent; also run by the destructor.
     void drain() {

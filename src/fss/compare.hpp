@@ -21,9 +21,9 @@
 ///
 /// which sums to 1{z - r in [0, 2^63)} * (z - r) = ReLU(y), matching
 /// the signed drelu semantics b = 1{y >= 0}. Keys are input-independent,
-/// so generation and shipment hoist into the preprocessing phase
-/// (key_pool.hpp buffers batches; the transport's KEYS frames carry the
-/// client halves).
+/// so a session deals all of them before layer 0: one KEYS frame carries
+/// the client halves of the plan's whole comparison count, and each
+/// party's key_pool.hpp adopts its halves for the layers to take.
 ///
 /// One party's material for one comparison is a fixed-size record, the
 /// unit of KEYS frames and key pools (little-endian):
@@ -106,15 +106,15 @@ struct ReluMaterial {
                                                 int party, std::span<const Ring> z,
                                                 const core::ThreadPool* threads = nullptr);
 
-/// Dealer side of one replenish round: generate `count` comparisons
-/// (deal_relu_material), ship the client records in one KEYS frame, push
-/// the server records into `pool`. No-op when count == 0 (no frame on the
-/// wire, so the client must compute the same count and skip its recv
-/// symmetrically).
+/// Dealer side of a session's key shipment, run once before layer 0:
+/// generate `count` comparisons (deal_relu_material), ship the client
+/// records in one KEYS frame, and hand the server records to `pool`.
+/// No-op when count == 0 (no frame on the wire, so the client must
+/// compute the same count and skip its recv symmetrically).
 void dealer_replenish(net::Transport& transport, crypto::ChaCha20Prg& prg, KeyPool& pool,
                       std::size_t count, const core::ThreadPool* threads = nullptr);
 
-/// Client side: receive one KEYS frame and pool the shipped records.
+/// Client side: receive the session's KEYS frame and pool its records.
 /// Rejects with a typed c2pi::Error a payload that is not a whole number
 /// of records (truncated shipment, corrupt frame) or whose record count
 /// differs from the expected `count` (the two sides must agree on the

@@ -1,28 +1,28 @@
 #pragma once
 
 /// \file key_pool.hpp
-/// Buffer of preprocessed FSS ReLU key material, one per session party.
+/// One session party's preprocessed FSS ReLU key material.
 ///
-/// The preprocessing phase fills the pool with one record
-/// (compare.hpp) per upcoming comparison (sized from the compiled layer
-/// plan); the online nonlinear layers drain it FIFO. Both parties' pools
-/// stay equal-sized by construction — prefill counts derive from the
-/// shared plan and every secure_relu consumes and replenishes
-/// symmetrically — so the dealer never has to signal "which key is next".
+/// A session deals its whole key schedule once, before layer 0: the
+/// dealer generates one record (compare.hpp) per comparison the compiled
+/// plan runs (pi::count_fss_comparisons), ships the client halves in the
+/// session's single KEYS frame, and each party's pool adopts its own
+/// halves. The online nonlinear layers then take records in plan order.
+/// Nothing is dealt mid-protocol, so a pool that runs short is a
+/// schedule bug and `take` raises a typed c2pi::Error.
 ///
-/// The pool holds whole shipped batches plus a read cursor: `push` moves
-/// a batch in and `take` hands out a view of the next records, so no
-/// record is copied on the way from the KEYS frame to evaluation.
+/// The pool holds the adopted shipment plus a read cursor: `push` moves
+/// the container in and `take` hands out views of it, so no record is
+/// copied on the way from the KEYS frame (or the dealer's RecordBuffer)
+/// to evaluation.
 ///
 /// Mutex-guarded: a session runs its protocol on one thread, but pools
 /// live inside PartyContext which the serving pool exercises under TSan,
 /// and a cheap uncontended lock keeps the invariant local.
 
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <vector>
 
 #include "core/error.hpp"
 #include "fss/compare.hpp"
@@ -34,68 +34,41 @@ public:
     /// Comparisons pooled and not yet taken.
     [[nodiscard]] std::size_t size() const {
         const std::lock_guard<std::mutex> lock(mutex_);
-        return size_;
+        return (records_.size() - cursor_) / kReluKeyBytes;
     }
 
-    /// Append a batch of whole records. The container (a received KEYS
-    /// payload or the dealer's RecordBuffer) is moved in, not copied.
+    /// Adopt the session's shipment of whole records: the container (a
+    /// received KEYS payload or the dealer's RecordBuffer) is moved in,
+    /// not copied. A pool adopts one shipment; an empty one is a no-op.
     template <typename Bytes>
-    void push(Bytes batch) {
-        require(batch.size() % kReluKeyBytes == 0,
-                "fss::KeyPool: batch is not a whole number of key records");
-        if (batch.empty()) return;
-        auto owner = std::make_shared<const Bytes>(std::move(batch));
-        const Batch b{std::span<const std::uint8_t>(owner->data(), owner->size()), owner};
+    void push(Bytes shipment) {
+        require(shipment.size() % kReluKeyBytes == 0,
+                "fss::KeyPool: shipment is not a whole number of key records");
+        if (shipment.empty()) return;
+        auto owner = std::make_shared<const Bytes>(std::move(shipment));
         const std::lock_guard<std::mutex> lock(mutex_);
-        size_ += b.bytes.size() / kReluKeyBytes;
-        batches_.push_back(b);
+        require(owner_ == nullptr, "fss::KeyPool: the session's shipment was already adopted");
+        records_ = std::span<const std::uint8_t>(owner->data(), owner->size());
+        owner_ = std::move(owner);
     }
 
-    /// Remove the n oldest records and return them contiguously. The view
-    /// stays valid until the next push or take. Throws if fewer are pooled
-    /// (the caller is responsible for replenishing first).
+    /// Take the next n records, contiguously; the view lives as long as
+    /// the pool. Throws if fewer are pooled (the session dealt less than
+    /// its plan runs).
     [[nodiscard]] std::span<const std::uint8_t> take(std::size_t n) {
         const std::lock_guard<std::mutex> lock(mutex_);
-        require(size_ >= n, "fss::KeyPool: not enough preprocessed keys");
-        if (n == 0) return {};
-        // Batches emptied by earlier takes go only now, once their views
-        // have expired.
-        while (cursor_ == batches_.front().bytes.size()) {
-            batches_.pop_front();
-            cursor_ = 0;
-        }
-        const std::size_t bytes = n * kReluKeyBytes;
-        if (batches_.front().bytes.size() - cursor_ < bytes) {
-            // The request straddles batches (a deficit topped up by a second
-            // shipment): merge the untaken records into one batch.
-            auto merged = std::make_shared<std::vector<std::uint8_t>>(
-                batches_.front().bytes.begin() + static_cast<std::ptrdiff_t>(cursor_),
-                batches_.front().bytes.end());
-            batches_.pop_front();
-            while (merged->size() < bytes) {
-                merged->insert(merged->end(), batches_.front().bytes.begin(),
-                               batches_.front().bytes.end());
-                batches_.pop_front();
-            }
-            batches_.push_front({std::span<const std::uint8_t>(*merged), merged});
-            cursor_ = 0;
-        }
-        const std::span<const std::uint8_t> out = batches_.front().bytes.subspan(cursor_, bytes);
-        cursor_ += bytes;
-        size_ -= n;
+        require((records_.size() - cursor_) / kReluKeyBytes >= n,
+                "fss::KeyPool: not enough preprocessed keys");
+        const std::span<const std::uint8_t> out = records_.subspan(cursor_, n * kReluKeyBytes);
+        cursor_ += out.size();
         return out;
     }
 
 private:
-    struct Batch {
-        std::span<const std::uint8_t> bytes;
-        std::shared_ptr<const void> owner;  ///< keeps `bytes` alive
-    };
-
     mutable std::mutex mutex_;
-    std::deque<Batch> batches_;
-    std::size_t cursor_ = 0;  ///< bytes of batches_.front() already taken
-    std::size_t size_ = 0;    ///< records not yet taken
+    std::span<const std::uint8_t> records_;  ///< the adopted shipment
+    std::shared_ptr<const void> owner_;      ///< keeps `records_` alive
+    std::size_t cursor_ = 0;                 ///< bytes of `records_` already taken
 };
 
 }  // namespace c2pi::fss

@@ -375,10 +375,4 @@ void BfvContext::mod_switch_to_two_limbs(Ciphertext& ct) const {
     ct.seed_compressed = false;
 }
 
-std::size_t BfvContext::serialized_bytes(const Ciphertext& ct) const {
-    const std::size_t per_poly = static_cast<std::size_t>(ct.active_limbs()) * params_.n * 8;
-    const std::size_t c1_bytes = ct.seed_compressed ? 32 : per_poly;
-    return per_poly + c1_bytes;
-}
-
 }  // namespace c2pi::he

@@ -72,7 +72,6 @@ public:
     explicit BfvContext(Params params);
 
     [[nodiscard]] std::size_t n() const { return params_.n; }
-    [[nodiscard]] int fresh_limbs() const { return params_.limbs; }
     [[nodiscard]] u64 prime(int i) const { return primes_[static_cast<std::size_t>(i)]; }
     [[nodiscard]] const core::ThreadPool* thread_pool() const { return params_.pool; }
 
@@ -124,14 +123,6 @@ public:
     /// polys still in coefficient form); one that needs coefficients
     /// runs poly_intt, reproducing the historical coefficient expansion.
     [[nodiscard]] RnsPoly expand_seed_poly_ntt(const crypto::Block128& seed, int limbs) const;
-
-    // -- traffic accounting -------------------------------------------------------
-    /// Serialized size: per-limb 8 bytes per coefficient per polynomial;
-    /// seed-compressed fresh ciphertexts replace c1 with 32 bytes.
-    [[nodiscard]] std::size_t serialized_bytes(const Ciphertext& ct) const;
-
-    // exposed for tests
-    [[nodiscard]] u64 delta_mod(int limb) const { return delta_mod_[static_cast<std::size_t>(limb)]; }
 
 private:
     [[nodiscard]] RnsPoly lift_to_ntt(std::span<const Ring> poly) const;

@@ -160,27 +160,17 @@ std::vector<Ring> relu_shares_gc(PartyContext& ctx, std::span<const Ring> y_shar
     return fresh;
 }
 
-/// FSS backend: drain preprocessed key material (replenishing any
-/// deficit first — both parties compute the identical deficit from their
-/// equal-sized pools, so the dealer/recv calls pair up), reconstruct the
-/// masked values in one round, then evaluate locally on the session's
-/// thread pool.
+/// FSS backend: take this layer's records from the key material the
+/// session dealt before layer 0 (a short pool throws: nothing is dealt
+/// mid-protocol), reconstruct the masked values in one round, then
+/// evaluate locally on the session's thread pool.
 std::vector<Ring> relu_shares_fss(PartyContext& ctx, std::span<const Ring> y_share) {
     const std::size_t n = y_share.size();
-    auto& pool = ctx.fss_pool();
-    const core::ThreadPool* threads = ctx.bfv().thread_pool();
-    if (pool.size() < n) {
-        const std::size_t deficit = n - pool.size();
-        if (ctx.is_server())
-            fss::dealer_replenish(ctx.transport(), ctx.prg(), pool, deficit, threads);
-        else
-            fss::client_replenish(ctx.transport(), pool, deficit);
-    }
-    const auto keys = pool.take(n);
+    const auto keys = ctx.fss_pool().take(n);
     std::vector<Ring> masked(n);
     for (std::size_t i = 0; i < n; ++i) masked[i] = y_share[i] + fss::relu_mask_share(keys, i);
     const auto z = reveal_shares(ctx, masked);
-    return fss::eval_relu_batch(keys, ctx.party(), z, threads);
+    return fss::eval_relu_batch(keys, ctx.party(), z, ctx.bfv().thread_pool());
 }
 
 /// max(a, b) = a + ReLU(b - a), elementwise over shares: one round of

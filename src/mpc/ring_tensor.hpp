@@ -2,7 +2,6 @@
 
 /// \file ring_tensor.hpp
 /// Tensor of Z_{2^64} elements — the secret-shared counterpart of Tensor.
-/// Conversions apply the fixed-point code from core/fixed_point.hpp.
 
 #include <vector>
 
@@ -28,21 +27,5 @@ struct RingTensor {
     [[nodiscard]] std::span<const Ring> span() const { return data; }
     [[nodiscard]] std::span<Ring> span() { return data; }
 };
-
-/// Fixed-point encode a float tensor into the ring.
-[[nodiscard]] inline RingTensor encode_tensor(const Tensor& t, const FixedPointFormat& fmt) {
-    RingTensor out(t.shape());
-    for (std::int64_t i = 0; i < t.numel(); ++i)
-        out.data[static_cast<std::size_t>(i)] = fmt.encode(t[i]);
-    return out;
-}
-
-/// Decode a ring tensor back to floats.
-[[nodiscard]] inline Tensor decode_tensor(const RingTensor& t, const FixedPointFormat& fmt) {
-    Tensor out(t.shape);
-    for (std::int64_t i = 0; i < t.numel(); ++i)
-        out[i] = static_cast<float>(fmt.decode(t.data[static_cast<std::size_t>(i)]));
-    return out;
-}
 
 }  // namespace c2pi::mpc

@@ -88,11 +88,6 @@ public:
         return stats_;
     }
 
-    void reset_stats() {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_ = ChannelStats{};
-    }
-
 private:
     ByteQueue queues_[2];
     mutable std::mutex stats_mutex_;

@@ -13,7 +13,6 @@ namespace c2pi::net {
 struct RunResult {
     ChannelStats stats;
     double wall_seconds = 0.0;           ///< total joint execution time
-    double phase_seconds[kNumPhases] = {};  ///< filled when parties report phases
 };
 
 /// Execute the two party bodies concurrently. `server` runs as party 0,

@@ -22,8 +22,8 @@ std::int64_t Graph::add_node(LayerPtr layer, std::int64_t input) {
 }
 
 std::int64_t Graph::add_residual(std::int64_t a, std::int64_t b) {
-    require(a >= 0 && a <= last() && b >= 0 && b <= last(),
-            "residual add operands must name earlier nodes");
+    require(a >= kInput && a <= last() && b >= kInput && b <= last(),
+            "residual add operands must name earlier nodes or the graph input");
     nodes_.push_back({nullptr, a, b});
     return last();
 }

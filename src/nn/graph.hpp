@@ -62,8 +62,9 @@ public:
     /// Append a layer consuming an explicit earlier node (or kInput);
     /// returns the new node's index.
     std::int64_t add_node(LayerPtr layer, std::int64_t input);
-    /// Append a residual add joining two earlier nodes; returns the new
-    /// node's index. Free under additive secret sharing (plan.cpp).
+    /// Append a residual add joining two earlier nodes (or kInput);
+    /// returns the new node's index. Free under additive secret sharing
+    /// (plan.cpp).
     std::int64_t add_residual(std::int64_t a, std::int64_t b);
 
     /// Index of the most recently appended node (kInput when empty).
@@ -78,8 +79,8 @@ public:
     [[nodiscard]] const Layer& layer(std::size_t i) const;
     /// First input edge of node i (kInput = the graph input).
     [[nodiscard]] std::int64_t input0(std::size_t i) const { return nodes_.at(i).input0; }
-    /// Second input edge (adds only; kInput-1 never occurs — it is -1
-    /// for non-add nodes, meaning "unused").
+    /// Second input edge of an add (kInput = the graph input); -1,
+    /// meaning "unused", for layer nodes.
     [[nodiscard]] std::int64_t input1(std::size_t i) const { return nodes_.at(i).input1; }
 
     /// True when every chain edge is i-1 and no skip edges exist (a plain

@@ -34,7 +34,6 @@ enum class LayerKind {
     kAvgPool,
     kFlatten,
     kUpsample,
-    kResidualBlock,
     kReshape,
     kBatchNorm,
     kGlobalAvgPool,

@@ -314,56 +314,4 @@ Tensor Reshape::backward(const Tensor& grad_out) {
 
 std::string Reshape::describe() const { return "Reshape(to " + shape_to_string(target_) + ')'; }
 
-// --------------------------------------------------------- ResidualBlock ---
-
-ResidualBlock::ResidualBlock(std::int64_t in_channels, std::int64_t out_channels, Rng& rng)
-    : conv1_(std::make_unique<Conv2d>(in_channels, out_channels,
-                                      ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng)),
-      relu1_(std::make_unique<Relu>()),
-      conv2_(std::make_unique<Conv2d>(out_channels, out_channels,
-                                      ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng)) {
-    if (in_channels != out_channels) {
-        projection_ = std::make_unique<Conv2d>(in_channels, out_channels,
-                                               ops::ConvSpec{.kernel = 1, .stride = 1, .pad = 0}, rng);
-    }
-}
-
-Tensor ResidualBlock::forward(const Tensor& x) {
-    cached_input_ = x;
-    Tensor h = conv2_->forward(relu1_->forward(conv1_->forward(x)));
-    const Tensor skip = projection_ ? projection_->forward(x) : x;
-    cached_pre_activation_ = ops::add(h, skip);
-    return ops::relu(cached_pre_activation_);
-}
-
-Tensor ResidualBlock::infer(const Tensor& x) const {
-    const Tensor h = conv2_->infer(relu1_->infer(conv1_->infer(x)));
-    const Tensor skip = projection_ ? projection_->infer(x) : x;
-    return ops::relu(ops::add(h, skip));
-}
-
-Tensor ResidualBlock::backward(const Tensor& grad_out) {
-    require(!cached_pre_activation_.empty(), "backward before forward");
-    const Tensor g = ops::relu_backward(grad_out, cached_pre_activation_);
-    Tensor gx = conv1_->backward(relu1_->backward(conv2_->backward(g)));
-    if (projection_) {
-        ops::axpy(1.0F, projection_->backward(g), gx);
-    } else {
-        ops::axpy(1.0F, g, gx);
-    }
-    return gx;
-}
-
-void ResidualBlock::collect_parameters(std::vector<Parameter*>& out) {
-    conv1_->collect_parameters(out);
-    conv2_->collect_parameters(out);
-    if (projection_) projection_->collect_parameters(out);
-}
-
-std::string ResidualBlock::describe() const {
-    std::ostringstream os;
-    os << "ResidualBlock(" << conv1_->in_channels() << "->" << conv1_->out_channels() << ')';
-    return os.str();
-}
-
 }  // namespace c2pi::nn

@@ -2,8 +2,8 @@
 
 /// \file layers.hpp
 /// Concrete layers: Conv2d (with dilation, used plain and as DINA's dilated
-/// conv), Linear, ReLU, pooling, Flatten, nearest Upsample, and the ResNet
-/// basic block used by the EINA/DINA inverse models.
+/// conv), Linear, ReLU, pooling, Flatten, nearest Upsample and Reshape.
+/// Residual blocks are Graph nodes joined by a residual add (graph.hpp).
 
 #include "core/rng.hpp"
 #include "nn/layer.hpp"
@@ -199,30 +199,6 @@ public:
 private:
     Shape target_;  ///< per-sample target shape (no batch dim)
     Shape cached_shape_;
-};
-
-/// ResNet basic block (He et al. 2016): conv3x3-ReLU-conv3x3 + skip, final
-/// ReLU. A 1x1 projection is inserted on the skip when channel counts
-/// differ. Used by the EINA inversion model and inside DINA's basic
-/// inverse blocks.
-class ResidualBlock final : public Layer {
-public:
-    ResidualBlock(std::int64_t in_channels, std::int64_t out_channels, Rng& rng);
-
-    Tensor forward(const Tensor& x) override;
-    [[nodiscard]] Tensor infer(const Tensor& x) const override;
-    Tensor backward(const Tensor& grad_out) override;
-    void collect_parameters(std::vector<Parameter*>& out) override;
-    [[nodiscard]] LayerKind kind() const override { return LayerKind::kResidualBlock; }
-    [[nodiscard]] std::string describe() const override;
-
-private:
-    std::unique_ptr<Conv2d> conv1_;
-    std::unique_ptr<Relu> relu1_;
-    std::unique_ptr<Conv2d> conv2_;
-    std::unique_ptr<Conv2d> projection_;  ///< null when in==out channels
-    Tensor cached_input_;
-    Tensor cached_pre_activation_;
 };
 
 }  // namespace c2pi::nn

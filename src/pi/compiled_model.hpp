@@ -115,12 +115,6 @@ public:
     /// c2pi::Error on invalid options.
     CompiledModel(const nn::Graph& model, Options options);
 
-    /// Compiles server secrets for an existing public artifact (e.g. one
-    /// agreed with clients out of band). Verifies that the artifact's
-    /// plan matches `model` exactly — a mismatched pairing throws instead
-    /// of serving a protocol the client's artifact cannot describe.
-    CompiledModel(ModelArtifact artifact, const nn::Graph& model, int num_threads = 0);
-
     CompiledModel(const CompiledModel&) = delete;
     CompiledModel& operator=(const CompiledModel&) = delete;
 
@@ -174,15 +168,6 @@ public:
     [[nodiscard]] mpc::GcCircuitCache& gc_cache() const { return gc_cache_; }
 
 private:
-    /// Tag for artifacts that need no model cross-check: the local
-    /// compile path just built its artifact FROM the model, so re-running
-    /// plan_layers to compare the plan against itself would only double
-    /// the compile cost. Foreign artifacts go through checked_against.
-    struct TrustedArtifact {
-        ModelArtifact artifact;
-    };
-    CompiledModel(TrustedArtifact trusted, const nn::Graph& model, int num_threads);
-
     const nn::Graph* model_;
     ModelArtifact artifact_;
     /// Initialized before server_data_ so an invalid num_threads fails at

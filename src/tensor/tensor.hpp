@@ -43,7 +43,6 @@ public:
     }
 
     // -- factories ---------------------------------------------------------
-    [[nodiscard]] static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
     [[nodiscard]] static Tensor full(Shape shape, float value);
     /// i.i.d. N(0, stddev^2) entries.
     [[nodiscard]] static Tensor randn(Shape shape, Rng& rng, float stddev = 1.0F);

@@ -20,7 +20,7 @@
 
 // Reuse the deployed pi_server/pi_client topology so passing here
 // certifies the demo pairing too.
-#include "../examples/remote_common.hpp"
+#include "support.hpp"
 
 namespace c2pi::pi {
 namespace {
@@ -306,27 +306,7 @@ TEST(ArtifactCodecFuzz, ChainArtifactMutations) { fuzz_decoder(demo_artifact(), 
 
 TEST(ArtifactCodecFuzz, DagArtifactMutations) { fuzz_decoder(resnet_artifact(), 0xDA6); }
 
-TEST(ArtifactModelBinding, CompiledModelRejectsForeignArtifact) {
-    // Serving weights against an artifact for a DIFFERENT architecture
-    // must throw at compile time, not fail mid-protocol.
-    const nn::Graph model = demo::make_demo_model();
-    ModelArtifact other = demo_artifact();
-    other.plan[0].geo.kernel = 1;  // not what this model plans
-    other.plan[0].geo.pad = 0;
-    EXPECT_THROW(CompiledModel(other, model), Error);
-
-    // The untampered artifact pairs fine.
-    EXPECT_NO_THROW(CompiledModel(demo_artifact(), model));
-}
-
 // ------------------------------------------------- weightless-client parity ---
-
-void expect_pi_stats_equal(const PiStats& a, const PiStats& b, const char* what) {
-    EXPECT_EQ(a.offline_bytes, b.offline_bytes) << what;
-    EXPECT_EQ(a.online_bytes, b.online_bytes) << what;
-    EXPECT_EQ(a.offline_flights, b.offline_flights) << what;
-    EXPECT_EQ(a.online_flights, b.online_flights) << what;
-}
 
 /// Shipped-artifact parity over the in-process transport: the server
 /// sends its serialized artifact through the channel's unmetered
@@ -361,7 +341,7 @@ void check_shipped_artifact_inproc(bool full_pi, const SessionConfig& config) {
     ASSERT_TRUE(logits.same_shape(reference.logits));
     EXPECT_TRUE(logits.allclose(reference.logits, 0.0F))
         << "shipped artifact changed the inference result";
-    expect_pi_stats_equal(stats_from_run(run), reference.stats,
+    test::expect_pi_stats_equal(stats_from_run(run), reference.stats,
                           "shipped vs local artifact (in-process)");
 }
 
@@ -419,9 +399,9 @@ TEST(WeightlessClient, TcpShippedArtifactMatchesLocalCompile) {
 
     ASSERT_TRUE(logits.same_shape(reference.logits));
     EXPECT_TRUE(logits.allclose(reference.logits, 0.0F));
-    expect_pi_stats_equal(stats_from_channel(client_stats), reference.stats,
+    test::expect_pi_stats_equal(stats_from_channel(client_stats), reference.stats,
                           "TCP shipped artifact vs local compile");
-    expect_pi_stats_equal(stats_from_channel(server_stats),
+    test::expect_pi_stats_equal(stats_from_channel(server_stats),
                           stats_from_channel(client_stats),
                           "server vs client endpoint accounting");
 }

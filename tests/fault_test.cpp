@@ -19,44 +19,15 @@
 #include "net/channel.hpp"
 #include "net/faulty.hpp"
 #include "net/tcp.hpp"
-#include "nn/layers.hpp"
-#include "nn/graph.hpp"
 #include "pi/bootstrap.hpp"
 #include "pi/retry.hpp"
 #include "pi/serving_pool.hpp"
+#include "support.hpp"
 
 namespace c2pi::pi {
 namespace {
 
 using namespace std::chrono_literals;
-
-/// Smallest model with real conv/ReLU/FC coverage and a crypto-clear
-/// boundary: chaos needs MANY sessions, so each must be cheap even
-/// under TSan.
-nn::Graph make_tiny_model(std::uint64_t seed = 3) {
-    Rng rng(seed);
-    nn::Graph m;
-    m.emplace<nn::Conv2d>(3, 2, ops::ConvSpec{.kernel = 3, .stride = 2, .pad = 1}, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::Flatten>();
-    m.emplace<nn::Linear>(2 * 4 * 4, 8, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::Linear>(8, 4, rng);
-    return m;
-}
-
-CompiledModel::Options tiny_options() {
-    CompiledModel::Options opts;
-    opts.input_chw = {3, 8, 8};
-    opts.he_ring_degree = 1024;
-    opts.boundary = nn::CutPoint{.linear_index = 1, .after_relu = true};
-    return opts;
-}
-
-Tensor tiny_input(std::uint64_t seed = 100) {
-    Rng rng(seed);
-    return Tensor::uniform({1, 3, 8, 8}, rng, 0.0F, 1.0F);
-}
 
 /// Session reports in completion order, waitable so tests can block on
 /// "the N-th session finished" instead of sleeping.
@@ -161,10 +132,10 @@ ClientOutcome run_client(std::uint16_t port, const SessionConfig& config, const 
 // ------------------------------------------------------------ chaos matrix ---
 
 TEST(FaultInjection, ChaosMatrixIsContainedAndClassified) {
-    const nn::Graph model = make_tiny_model();
-    const CompiledModel compiled(model, tiny_options());
+    const nn::Graph model = test::make_tiny_model();
+    const CompiledModel compiled(model, test::tiny_options(/*full_pi=*/false));
     const SessionConfig config{.seed = 21};
-    const Tensor input = tiny_input();
+    const Tensor input = test::tiny_input();
     const Tensor reference = run_private_inference(compiled, config, input).logits;
 
     PoolHarness harness(compiled, config,
@@ -310,10 +281,10 @@ TEST(FaultInjection, ChaosMatrixIsContainedAndClassified) {
 // ------------------------------------------------ handshake-phase laggards ---
 
 TEST(FaultInjection, HandshakeDeadlineShedsConnectThenSilentClient) {
-    const nn::Graph model = make_tiny_model();
-    const CompiledModel compiled(model, tiny_options());
+    const nn::Graph model = test::make_tiny_model();
+    const CompiledModel compiled(model, test::tiny_options(/*full_pi=*/false));
     const SessionConfig config{.seed = 23};
-    const Tensor input = tiny_input();
+    const Tensor input = test::tiny_input();
 
     // ONE worker, zero queue, a 2-minute steady timeout and a 400 ms
     // bootstrap deadline: the regression this pins is a connect-then-
@@ -358,10 +329,10 @@ TEST(FaultInjection, HandshakeDeadlineShedsConnectThenSilentClient) {
 // ----------------------------------------------------- BUSY-storm retries ---
 
 TEST(FaultInjection, RetryPolicyOutlastsBusyStormWhilePolicyFreeClientFailsFast) {
-    const nn::Graph model = make_tiny_model();
-    const CompiledModel compiled(model, tiny_options());
+    const nn::Graph model = test::make_tiny_model();
+    const CompiledModel compiled(model, test::tiny_options(/*full_pi=*/false));
     const SessionConfig config{.seed = 29};
-    const Tensor input = tiny_input();
+    const Tensor input = test::tiny_input();
     const Tensor reference = run_private_inference(compiled, config, input).logits;
 
     PoolHarness harness(compiled, config, {.workers = 1, .queue_capacity = 0});
@@ -418,10 +389,10 @@ TEST(FaultInjection, RetryPolicyOutlastsBusyStormWhilePolicyFreeClientFailsFast)
 // ------------------------------------------- windowed tail under a death ---
 
 TEST(FaultInjection, WindowedTailSurvivorNotStalledByDyingSibling) {
-    const nn::Graph model = make_tiny_model();
-    const CompiledModel compiled(model, tiny_options());
+    const nn::Graph model = test::make_tiny_model();
+    const CompiledModel compiled(model, test::tiny_options(/*full_pi=*/false));
     const SessionConfig config{.seed = 31};
-    const Tensor input = tiny_input();
+    const Tensor input = test::tiny_input();
     const Tensor reference = run_private_inference(compiled, config, input).logits;
 
     // Group size = workers = 2 and a short window: the dying client's
@@ -462,10 +433,10 @@ TEST(FaultInjection, WindowedTailSurvivorNotStalledByDyingSibling) {
 // ------------------------------------------------------ resumable bootstrap ---
 
 TEST(FaultInjection, DigestCacheSkipsSecondShipmentAcrossReconnects) {
-    const nn::Graph model = make_tiny_model();
-    const CompiledModel compiled(model, tiny_options());
+    const nn::Graph model = test::make_tiny_model();
+    const CompiledModel compiled(model, test::tiny_options(/*full_pi=*/false));
     const SessionConfig config{.seed = 37};
-    const Tensor input = tiny_input();
+    const Tensor input = test::tiny_input();
     const Tensor reference = run_private_inference(compiled, config, input).logits;
 
     PoolHarness harness(compiled, config, {.workers = 1, .queue_capacity = 1});
@@ -489,12 +460,12 @@ TEST(FaultInjection, DigestCacheSkipsSecondShipmentAcrossReconnects) {
 }
 
 TEST(FaultInjection, PinnedDigestDetectsMidAirArtifactSwap) {
-    const nn::Graph model = make_tiny_model();
+    const nn::Graph model = test::make_tiny_model();
     // Two servers whose PUBLIC halves differ (the pin is about model
     // identity, which weights alone cannot change).
-    auto options_b = tiny_options();
+    auto options_b = test::tiny_options(/*full_pi=*/false);
     options_b.boundary = std::nullopt;  // full PI: a different artifact
-    const CompiledModel compiled_a(model, tiny_options());
+    const CompiledModel compiled_a(model, test::tiny_options(/*full_pi=*/false));
     const std::vector<std::uint8_t> bytes_a = compiled_a.artifact().serialize();
     const std::vector<std::uint8_t> bytes_b =
         CompiledModel(model, options_b).artifact().serialize();
@@ -517,8 +488,8 @@ TEST(FaultInjection, PinnedDigestDetectsMidAirArtifactSwap) {
 }
 
 TEST(FaultInjection, ShippedBytesMustMatchAnnouncedDigest) {
-    const nn::Graph model = make_tiny_model();
-    const CompiledModel compiled(model, tiny_options());
+    const nn::Graph model = test::make_tiny_model();
+    const CompiledModel compiled(model, test::tiny_options(/*full_pi=*/false));
     std::vector<std::uint8_t> bytes = compiled.artifact().serialize();
     const ArtifactDigest announced = digest_of(bytes);
     bytes.back() ^= 0x01;  // ship something else than was announced

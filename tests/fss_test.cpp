@@ -177,28 +177,17 @@ TEST(FssRelu, ClientRejectsRaggedAndMiscountedKeysFrames) {
     EXPECT_EQ(ship(records, 3), 3U);
     EXPECT_THROW((void)ship(std::span(records).first(records.size() - 1), 3), Error);
     EXPECT_THROW((void)ship(records, 2), Error);
-}
 
-TEST(FssRelu, KeyPoolTakesAcrossBatchesInOrder) {
-    crypto::ChaCha20Prg prg(crypto::Block128{0x9001, 0x3}, 6);
-    const RecordBuffer records = deal_relu_material(prg, 5).server;
-    const auto slice = [&](std::size_t first, std::size_t n) {
-        return std::vector<std::uint8_t>(
-            records.begin() + static_cast<std::ptrdiff_t>(first * kReluKeyBytes),
-            records.begin() + static_cast<std::ptrdiff_t>((first + n) * kReluKeyBytes));
-    };
+    // The pool itself refuses ragged shipments, adopts one shipment per
+    // session, and never hands out more records than were dealt.
     KeyPool pool;
-    pool.push(slice(0, 2));
-    pool.push(slice(2, 3));
-    EXPECT_EQ(pool.size(), 5U);
-    const auto first = pool.take(1);
-    EXPECT_TRUE(std::ranges::equal(first, slice(0, 1)));
-    const auto straddling = pool.take(3);  // one record of batch 1, two of batch 2
-    EXPECT_TRUE(std::ranges::equal(straddling, slice(1, 3)));
-    EXPECT_EQ(pool.size(), 1U);
-    EXPECT_THROW((void)pool.take(2), Error);
-    EXPECT_TRUE(std::ranges::equal(pool.take(1), slice(4, 1)));
     EXPECT_THROW(pool.push(std::vector<std::uint8_t>(kReluKeyBytes + 1)), Error);
+    pool.push(records);
+    EXPECT_THROW(pool.push(records), Error);
+    EXPECT_TRUE(std::ranges::equal(pool.take(1), std::span(records).first(kReluKeyBytes)));
+    EXPECT_THROW((void)pool.take(3), Error);
+    EXPECT_TRUE(std::ranges::equal(pool.take(2), std::span(records).subspan(kReluKeyBytes)));
+    EXPECT_EQ(pool.size(), 0U);
 }
 
 std::string hex(const std::array<std::uint8_t, 32>& digest) {

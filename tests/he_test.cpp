@@ -358,19 +358,6 @@ TEST(Bfv, ModSwitchAfterMultiplyPreservesMessage) {
     EXPECT_EQ(ctx.decrypt(prod, sk), before);
 }
 
-TEST(Bfv, SerializedSizesMatchSpec) {
-    const BfvContext ctx(small_params());
-    crypto::ChaCha20Prg prg(crypto::Block128{13, 14});
-    const SecretKey sk = ctx.keygen(prg);
-    std::vector<Ring> plain(ctx.n(), 1);
-    Ciphertext fresh = ctx.encrypt(plain, sk, prg);
-    // Fresh: c0 full (4 limbs * n * 8) + 32-byte seed.
-    EXPECT_EQ(ctx.serialized_bytes(fresh), 4U * ctx.n() * 8 + 32);
-    ctx.mod_switch_to_two_limbs(fresh);
-    // Switched response: both polys at 2 limbs.
-    EXPECT_EQ(ctx.serialized_bytes(fresh), 2U * (2U * ctx.n() * 8));
-}
-
 // ---------------------------------------------------------------- encoding ---
 
 /// Plaintext conv reference over the ring (exact arithmetic mod 2^64).

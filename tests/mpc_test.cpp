@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.hpp"
+#include "fss/compare.hpp"
 #include "mpc/linear.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "mpc/nonlinear.hpp"
@@ -38,6 +39,16 @@ struct MpcFixture {
     }
 };
 
+/// FSS sessions deal their whole key schedule before layer 0; a test
+/// that runs FSS layers directly deals the same way first.
+void deal_fss_up_front(PartyContext& ctx, NonlinearBackend backend, std::size_t comparisons) {
+    if (backend != NonlinearBackend::kFss) return;
+    if (ctx.is_server())
+        fss::dealer_replenish(ctx.transport(), ctx.prg(), ctx.fss_pool(), comparisons);
+    else
+        fss::client_replenish(ctx.transport(), ctx.fss_pool(), comparisons);
+}
+
 /// Split plaintext ring values into random shares.
 std::pair<std::vector<Ring>, std::vector<Ring>> make_shares(std::span<const Ring> values,
                                                             std::uint64_t seed) {
@@ -48,15 +59,6 @@ std::pair<std::vector<Ring>, std::vector<Ring>> make_shares(std::span<const Ring
         s1[i] = values[i] - s0[i];
     }
     return {std::move(s0), std::move(s1)};
-}
-
-TEST(RingTensorOps, EncodeDecodeRoundTrip) {
-    const FixedPointFormat fmt{.frac_bits = 16};
-    c2pi::Rng rng(1);
-    const Tensor t = Tensor::uniform({2, 3, 4}, rng, -5.0F, 5.0F);
-    const RingTensor r = encode_tensor(t, fmt);
-    const Tensor back = decode_tensor(r, fmt);
-    EXPECT_TRUE(t.allclose(back, 2.0F / static_cast<float>(fmt.scale())));
 }
 
 TEST(RingTensorOps, TruncationErrorWithinOneUlp) {
@@ -154,8 +156,15 @@ TEST_P(SecureReluTest, MatchesPlaintextRelu) {
     }
     auto [s0, s1] = make_shares(values, 9);
     std::vector<Ring> z0, z1;
-    fx.run([&](PartyContext& ctx) { z0 = secure_relu(ctx, s0, backend); },
-           [&](PartyContext& ctx) { z1 = secure_relu(ctx, s1, backend); });
+    fx.run(
+        [&](PartyContext& ctx) {
+            deal_fss_up_front(ctx, backend, n);
+            z0 = secure_relu(ctx, s0, backend);
+        },
+        [&](PartyContext& ctx) {
+            deal_fss_up_front(ctx, backend, n);
+            z1 = secure_relu(ctx, s1, backend);
+        });
     for (std::size_t i = 0; i < n; ++i) {
         const double want = plain[i] > 0 ? plain[i] : 0.0;
         EXPECT_NEAR(fx.fmt.decode(z0[i] + z1[i]), want, 2.0 / fx.fmt.scale()) << i;
@@ -183,12 +192,16 @@ TEST_P(SecureMaxPoolTest, MatchesPlaintextMaxPool) {
         rx.data[static_cast<std::size_t>(i)] = fx.fmt.encode(x[i]);
     auto [s0, s1] = make_shares(rx.data, 13);
 
+    // One comparison per window per tournament round: k^2 - 1 = 3.
+    const std::size_t comparisons = static_cast<std::size_t>(c * 3 * 3) * 3;
     RingTensor z0, z1;
     fx.run(
         [&](PartyContext& ctx) {
+            deal_fss_up_front(ctx, backend, comparisons);
             z0 = secure_maxpool(ctx, RingTensor({c, h, w}, s0), 2, 2, backend);
         },
         [&](PartyContext& ctx) {
+            deal_fss_up_front(ctx, backend, comparisons);
             z1 = secure_maxpool(ctx, RingTensor({c, h, w}, s1), 2, 2, backend);
         });
     ASSERT_EQ(z0.shape, (Shape{c, 3, 3}));

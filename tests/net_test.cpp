@@ -124,16 +124,6 @@ TEST(Channel, RecvU64sRejectsRaggedPayload) {
                  Error);
 }
 
-TEST(Channel, ResetStatsClears) {
-    DuplexChannel channel;
-    run_two_party(
-        channel, [](Transport& t) { t.send_u64(5); }, [](Transport& t) { (void)t.recv_u64(); });
-    EXPECT_GT(channel.stats().total_bytes(), 0U);
-    channel.reset_stats();
-    EXPECT_EQ(channel.stats().total_bytes(), 0U);
-    EXPECT_EQ(channel.stats().total_flights(), 0U);
-}
-
 TEST(Runtime, PropagatesServerException) {
     DuplexChannel channel;
     EXPECT_THROW(run_two_party(

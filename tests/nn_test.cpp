@@ -77,24 +77,6 @@ TEST(Layers, LinearParameterGradient) {
     }
 }
 
-TEST(Layers, ResidualBlockGradientAndShape) {
-    Rng rng(5);
-    nn::ResidualBlock block(3, 5, rng);
-    const Tensor x = Tensor::randn({1, 3, 6, 6}, rng, 0.5F);
-    const Tensor y = block.forward(x);
-    EXPECT_EQ(y.dim(1), 5);
-    EXPECT_EQ(y.dim(2), 6);
-    check_input_gradient(block, x, 1e-2F, 5e-2F);
-}
-
-TEST(Layers, ResidualBlockIdentitySkipWhenChannelsMatch) {
-    Rng rng(6);
-    nn::ResidualBlock block(4, 4, rng);
-    std::vector<nn::Parameter*> params;
-    block.collect_parameters(params);
-    EXPECT_EQ(params.size(), 4U);  // two convs x (weight + bias), no projection
-}
-
 TEST(Layers, MaxPoolBackwardGradient) {
     Rng rng(7);
     nn::MaxPool2d pool(2, 2);

@@ -24,49 +24,10 @@
 #include "net/tcp.hpp"
 #include "pi/session.hpp"
 
-#include "../examples/remote_common.hpp"
+#include "support.hpp"
 
 namespace c2pi {
 namespace {
-
-/// Transport decorator that records every sent payload verbatim.
-class RecordingTransport final : public net::Transport {
-public:
-    RecordingTransport(net::Transport& inner, std::vector<std::vector<std::uint8_t>>& sent)
-        : Transport(inner.party_id()), inner_(&inner), sent_(&sent) {}
-
-    void send_bytes(std::span<const std::uint8_t> data) override {
-        sent_->emplace_back(data.begin(), data.end());
-        inner_->set_phase(phase_);
-        inner_->send_bytes(data);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_bytes() override { return inner_->recv_bytes(); }
-    void recv_bytes_into(std::vector<std::uint8_t>& out) override {
-        inner_->recv_bytes_into(out);
-    }
-    [[nodiscard]] net::ChannelStats stats() const override { return inner_->stats(); }
-
-    // Bootstrap/preprocessing channels forward to the wrapped transport;
-    // FSS key batches are protocol traffic and are recorded like any
-    // other payload (artifact shipping is setup and is not).
-    void send_artifact_bytes(std::span<const std::uint8_t> bytes) override {
-        inner_->send_artifact_bytes(bytes);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_artifact_bytes() override {
-        return inner_->recv_artifact_bytes();
-    }
-    void send_keys_bytes(std::span<const std::uint8_t> bytes) override {
-        sent_->emplace_back(bytes.begin(), bytes.end());
-        inner_->send_keys_bytes(bytes);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_keys_bytes() override {
-        return inner_->recv_keys_bytes();
-    }
-
-private:
-    net::Transport* inner_;
-    std::vector<std::vector<std::uint8_t>>* sent_;
-};
 
 struct Transcript {
     std::vector<std::vector<std::uint8_t>> server_sent, client_sent;
@@ -86,12 +47,12 @@ Transcript run_recorded(const he::BfvContext& bfv, ServerFn&& server_fn, ClientF
     net::run_two_party(
         channel,
         [&](net::Transport& t) {
-            RecordingTransport rec(t, tr.server_sent);
+            test::RecordingTransport rec(t, tr.server_sent);
             mpc::PartyContext ctx(rec, fmt, bfv, session_seed);
             tr.server_out = server_fn(ctx);
         },
         [&](net::Transport& t) {
-            RecordingTransport rec(t, tr.client_sent);
+            test::RecordingTransport rec(t, tr.client_sent);
             mpc::PartyContext ctx(rec, fmt, bfv, session_seed);
             crypto::ChaCha20Prg key_prg(crypto::Block128{77, 78});
             ctx.set_client_key(bfv.keygen(key_prg));
@@ -196,13 +157,6 @@ TEST(MpcLinearParity, MatvecCacheAndPoolPreserveTranscriptBytes) {
 
 // ----------------------------------------------------- session-level parity ---
 
-void expect_pi_stats_equal(const pi::PiStats& a, const pi::PiStats& b, const char* what) {
-    EXPECT_EQ(a.offline_bytes, b.offline_bytes) << what;
-    EXPECT_EQ(a.online_bytes, b.online_bytes) << what;
-    EXPECT_EQ(a.offline_flights, b.offline_flights) << what;
-    EXPECT_EQ(a.online_flights, b.online_flights) << what;
-}
-
 void check_thread_parity(bool full_pi, const pi::SessionConfig& config) {
     const nn::Graph model = demo::make_demo_model();
     auto serial_opts = demo::demo_compile_options(full_pi);
@@ -222,7 +176,7 @@ void check_thread_parity(bool full_pi, const pi::SessionConfig& config) {
     ASSERT_TRUE(a.logits.same_shape(b.logits));
     EXPECT_TRUE(a.logits.allclose(b.logits, 0.0F))
         << "num_threads changed the inference result";
-    expect_pi_stats_equal(a.stats, b.stats, "serial vs parallel artifact");
+    test::expect_pi_stats_equal(a.stats, b.stats, "serial vs parallel artifact");
 }
 
 TEST(SessionThreadParity, CheetahCryptoClearWithNoise) {
@@ -300,11 +254,11 @@ SessionTranscript run_full_session(const he::kernels::Kernels* forced, pi::PiBac
     (void)net::run_two_party(
         channel,
         [&](net::Transport& t) {
-            RecordingTransport rec(t, tr.server_sent);
+            test::RecordingTransport rec(t, tr.server_sent);
             server.run(rec);
         },
         [&](net::Transport& t) {
-            RecordingTransport rec(t, tr.client_sent);
+            test::RecordingTransport rec(t, tr.client_sent);
             tr.logits = client.run(rec, input);
             tr.client_stats = rec.stats();
         });
@@ -468,7 +422,7 @@ TEST(SessionThreadParity, MultiThreadArtifactOverTcpMatchesInProc) {
 
     ASSERT_TRUE(logits.same_shape(reference.logits));
     EXPECT_TRUE(logits.allclose(reference.logits, 0.0F));
-    expect_pi_stats_equal(pi::stats_from_channel(client_stats), reference.stats,
+    test::expect_pi_stats_equal(pi::stats_from_channel(client_stats), reference.stats,
                           "TCP vs in-process with threads");
 }
 

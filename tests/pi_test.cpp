@@ -16,49 +16,24 @@
 #include "nn/trainer.hpp"
 #include "pi/boundary.hpp"
 #include "pi/session.hpp"
+#include "support.hpp"
 
 namespace c2pi::pi {
 namespace {
-
-/// Small conv net: 2 convs + 2 FCs on 16x16 RGB inputs — big enough to
-/// exercise conv groups, pooling, ReLU and FC protocols, small enough for
-/// fast MPC in tests.
-nn::Graph make_test_model(std::uint64_t seed = 7) {
-    Rng rng(seed);
-    nn::Graph m;
-    m.emplace<nn::Conv2d>(3, 6, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::MaxPool2d>(2, 2);
-    m.emplace<nn::Conv2d>(6, 8, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::MaxPool2d>(2, 2);
-    m.emplace<nn::Flatten>();
-    m.emplace<nn::Linear>(8 * 4 * 4, 16, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::Linear>(16, 10, rng);
-    return m;
-}
 
 Tensor make_test_input(std::uint64_t seed = 8) {
     Rng rng(seed);
     return Tensor::uniform({1, 3, 16, 16}, rng, 0.0F, 1.0F);
 }
 
-CompiledModel::Options small_compile_options() {
-    CompiledModel::Options opts;
-    opts.input_chw = {3, 16, 16};
-    opts.he_ring_degree = 1024;
-    return opts;
-}
-
 class FullPiBackendTest : public ::testing::TestWithParam<PiBackend> {};
 
 TEST_P(FullPiBackendTest, MatchesPlaintextInference) {
-    const nn::Graph model = make_test_model();
+    const nn::Graph model = demo::make_demo_model();
     const Tensor x = make_test_input();
     const Tensor want = model.infer(x);
 
-    const CompiledModel compiled(model, small_compile_options());
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/true));
     const PiResult res =
         run_private_inference(compiled, SessionConfig{.backend = GetParam()}, x);
     ASSERT_TRUE(res.logits.same_shape(want));
@@ -72,8 +47,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, FullPiBackendTest,
                          ::testing::Values(PiBackend::kCheetah, PiBackend::kDelphi));
 
 TEST(Session, CheetahIsOnlineDominated) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, small_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/true));
     const PiResult res = run_private_inference(
         compiled, SessionConfig{.backend = PiBackend::kCheetah}, make_test_input());
     // Only the dealer setup (plus its trailing nonlinear-backend byte) is
@@ -83,8 +58,8 @@ TEST(Session, CheetahIsOnlineDominated) {
 }
 
 TEST(Session, DelphiMovesWorkOffline) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, small_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/true));
     const PiResult res = run_private_inference(
         compiled, SessionConfig{.backend = PiBackend::kDelphi}, make_test_input());
     // HE pairs + garbled tables offline: the offline phase dominates.
@@ -92,10 +67,10 @@ TEST(Session, DelphiMovesWorkOffline) {
 }
 
 TEST(Session, DelphiCostsMoreTrafficThanCheetah) {
-    const nn::Graph model = make_test_model();
+    const nn::Graph model = demo::make_demo_model();
     // One compiled artifact serves both backends: the plan and encoded
     // weights are backend-agnostic, only the session protocol differs.
-    const CompiledModel compiled(model, small_compile_options());
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/true));
     const auto c = run_private_inference(
         compiled, SessionConfig{.backend = PiBackend::kCheetah}, make_test_input());
     const auto d = run_private_inference(
@@ -104,21 +79,19 @@ TEST(Session, DelphiCostsMoreTrafficThanCheetah) {
 }
 
 TEST(Session, WanLatencyExceedsLan) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, small_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/true));
     const PiResult res = run_private_inference(compiled, SessionConfig{}, make_test_input());
     EXPECT_GT(res.stats.latency_seconds(net::NetworkModel::wan()),
               res.stats.latency_seconds(net::NetworkModel::lan()));
 }
 
 TEST(C2pi, NoiselessBoundaryMatchesPlaintext) {
-    const nn::Graph model = make_test_model();
+    const nn::Graph model = demo::make_demo_model();
     const Tensor x = make_test_input();
     const Tensor want = model.infer(x);
 
-    auto copts = small_compile_options();
-    copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
-    const CompiledModel compiled(model, copts);
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/false));
     const PiResult res =
         run_private_inference(compiled, SessionConfig{.noise_lambda = 0.0F}, x);
     for (std::int64_t i = 0; i < want.numel(); ++i)
@@ -128,12 +101,12 @@ TEST(C2pi, NoiselessBoundaryMatchesPlaintext) {
 }
 
 TEST(C2pi, CostsLessThanFullPi) {
-    const nn::Graph model = make_test_model();
+    const nn::Graph model = demo::make_demo_model();
     const Tensor x = make_test_input();
-    const CompiledModel full(model, small_compile_options());
+    const CompiledModel full(model, demo::demo_compile_options(/*full_pi=*/true));
     const auto full_res = run_private_inference(full, SessionConfig{}, x);
 
-    auto copts = small_compile_options();
+    auto copts = demo::demo_compile_options(/*full_pi=*/true);
     copts.boundary = nn::CutPoint{.linear_index = 1, .after_relu = true};
     const CompiledModel compiled(model, copts);
     const auto c2pi_res =
@@ -144,11 +117,9 @@ TEST(C2pi, CostsLessThanFullPi) {
 }
 
 TEST(C2pi, NoisePerturbsButPreservesShape) {
-    const nn::Graph model = make_test_model();
+    const nn::Graph model = demo::make_demo_model();
     const Tensor x = make_test_input();
-    auto copts = small_compile_options();
-    copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
-    const CompiledModel compiled(model, copts);
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/false));
     const auto res = run_private_inference(compiled, SessionConfig{.noise_lambda = 0.3F}, x);
     const Tensor want = model.infer(x);
     ASSERT_TRUE(res.logits.same_shape(want));
@@ -162,10 +133,10 @@ TEST(C2pi, NoisePerturbsButPreservesShape) {
 }
 
 TEST(C2pi, DelphiBackendAlsoSupportsBoundary) {
-    const nn::Graph model = make_test_model();
+    const nn::Graph model = demo::make_demo_model();
     const Tensor x = make_test_input();
     const Tensor want = model.infer(x);
-    auto copts = small_compile_options();
+    auto copts = demo::demo_compile_options(/*full_pi=*/true);
     copts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = false};
     const CompiledModel compiled(model, copts);
     const auto res = run_private_inference(

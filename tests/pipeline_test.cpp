@@ -32,85 +32,15 @@
 #include "net/faulty.hpp"
 #include "net/runtime.hpp"
 #include "net/tcp.hpp"
-#include "nn/layers.hpp"
-#include "nn/graph.hpp"
 #include "pi/bootstrap.hpp"
 #include "pi/serving_pool.hpp"
 #include "pi/session.hpp"
+#include "support.hpp"
 
 namespace c2pi {
 namespace {
 
 using namespace std::chrono_literals;
-
-/// Transport decorator that records every sent payload verbatim and
-/// forwards the pipelined-send controls (parity_test.cpp idiom; over an
-/// InProcTransport the controls are no-ops, so recording stays on the
-/// protocol thread and is race-free even with pipelining on).
-class RecordingTransport final : public net::Transport {
-public:
-    RecordingTransport(net::Transport& inner, std::vector<std::vector<std::uint8_t>>& sent)
-        : Transport(inner.party_id()), inner_(&inner), sent_(&sent) {}
-
-    void send_bytes(std::span<const std::uint8_t> data) override {
-        sent_->emplace_back(data.begin(), data.end());
-        inner_->set_phase(phase_);
-        inner_->send_bytes(data);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_bytes() override { return inner_->recv_bytes(); }
-    void recv_bytes_into(std::vector<std::uint8_t>& out) override {
-        inner_->recv_bytes_into(out);
-    }
-    [[nodiscard]] net::ChannelStats stats() const override { return inner_->stats(); }
-    [[nodiscard]] net::WaitStats wait_stats() const override { return inner_->wait_stats(); }
-    void set_pipelined_sends(bool enabled) override { inner_->set_pipelined_sends(enabled); }
-    void flush_sends() override { inner_->flush_sends(); }
-
-    void send_artifact_bytes(std::span<const std::uint8_t> bytes) override {
-        inner_->send_artifact_bytes(bytes);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_artifact_bytes() override {
-        return inner_->recv_artifact_bytes();
-    }
-    void send_keys_bytes(std::span<const std::uint8_t> bytes) override {
-        sent_->emplace_back(bytes.begin(), bytes.end());
-        inner_->send_keys_bytes(bytes);
-    }
-    [[nodiscard]] std::vector<std::uint8_t> recv_keys_bytes() override {
-        return inner_->recv_keys_bytes();
-    }
-
-private:
-    net::Transport* inner_;
-    std::vector<std::vector<std::uint8_t>>* sent_;
-};
-
-/// Cheap model with conv/ReLU/FC coverage (fault_test.cpp's topology):
-/// the matrix below runs 18 full sessions, so each must be fast.
-nn::Graph tiny_model(std::uint64_t seed = 3) {
-    Rng rng(seed);
-    nn::Graph m;
-    m.emplace<nn::Conv2d>(3, 2, ops::ConvSpec{.kernel = 3, .stride = 2, .pad = 1}, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::Flatten>();
-    m.emplace<nn::Linear>(2 * 4 * 4, 8, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::Linear>(8, 4, rng);
-    return m;
-}
-
-pi::CompiledModel::Options tiny_options(bool full_pi) {
-    pi::CompiledModel::Options opts;
-    opts.input_chw = {3, 8, 8};
-    opts.he_ring_degree = 1024;
-    if (!full_pi) opts.boundary = nn::CutPoint{.linear_index = 1, .after_relu = true};
-    return opts;
-}
-
-Tensor tiny_input(std::uint64_t seed = 100) {
-    Rng rng(seed);
-    return Tensor::uniform({1, 3, 8, 8}, rng, 0.0F, 1.0F);
-}
 
 struct SessionTranscript {
     std::vector<std::vector<std::uint8_t>> server_sent, client_sent;
@@ -128,11 +58,11 @@ SessionTranscript run_session(const pi::CompiledModel& compiled, pi::SessionConf
     (void)net::run_two_party(
         channel,
         [&](net::Transport& t) {
-            RecordingTransport rec(t, tr.server_sent);
+            test::RecordingTransport rec(t, tr.server_sent);
             server.run(rec);
         },
         [&](net::Transport& t) {
-            RecordingTransport rec(t, tr.client_sent);
+            test::RecordingTransport rec(t, tr.client_sent);
             tr.logits = client.run(rec, input);
         });
     tr.stats = channel.stats();
@@ -173,12 +103,12 @@ TEST(PipelineParity, StreamingMatchesSynchronousAcrossBackendMatrix) {
     const mpc::NonlinearBackend nonlinears[] = {mpc::NonlinearBackend::kGarbledCircuit,
                                                 mpc::NonlinearBackend::kOtMillionaire,
                                                 mpc::NonlinearBackend::kFss};
-    const nn::Graph model = tiny_model();
-    const Tensor input = tiny_input();
+    const nn::Graph model = test::make_tiny_model();
+    const Tensor input = test::tiny_input();
     for (const Cell& cell : cells) {
         // num_threads = 3 so the streamed HE responses come out of a real
         // parallel_for (the single-thread path would serialize anyway).
-        auto opts = tiny_options(cell.full_pi);
+        auto opts = test::tiny_options(cell.full_pi);
         opts.num_threads = 3;
         const pi::CompiledModel compiled(model, opts);
         for (const auto nonlinear : nonlinears) {
@@ -264,12 +194,12 @@ TEST(PipelineTransport, RecvWaitIsChargedToTheCurrentPhase) {
 }
 
 TEST(PipelineParity, PipelinedTcpSessionMatchesSynchronousInProc) {
-    const nn::Graph model = tiny_model();
-    auto opts = tiny_options(/*full_pi=*/false);
+    const nn::Graph model = test::make_tiny_model();
+    auto opts = test::tiny_options(/*full_pi=*/false);
     opts.num_threads = 3;
     const pi::CompiledModel compiled(model, opts);
     pi::SessionConfig config{.seed = 41};
-    const Tensor input = tiny_input();
+    const Tensor input = test::tiny_input();
 
     config.pipeline = false;
     const pi::PiResult reference = pi::run_private_inference(compiled, config, input);
@@ -316,10 +246,10 @@ TEST(PipelineChaos, MidStreamDisconnectUnderPipeliningIsContained) {
     // asynchronously, and the failure must still surface as an ordinary
     // classified client abort — never a hang, a crash, or a poisoned
     // pool. Shape follows fault_test.cpp's chaos harness.
-    const nn::Graph model = tiny_model();
-    const pi::CompiledModel compiled(model, tiny_options(/*full_pi=*/false));
+    const nn::Graph model = test::make_tiny_model();
+    const pi::CompiledModel compiled(model, test::tiny_options(/*full_pi=*/false));
     pi::SessionConfig config{.seed = 53};
-    const Tensor input = tiny_input();
+    const Tensor input = test::tiny_input();
     config.pipeline = false;
     const Tensor reference = pi::run_private_inference(compiled, config, input).logits;
     config.pipeline = true;  // explicit: the property under test

@@ -16,43 +16,11 @@
 #include <vector>
 
 #include "net/tcp.hpp"
-#include "nn/layers.hpp"
-#include "nn/graph.hpp"
 #include "pi/serving_pool.hpp"
+#include "support.hpp"
 
 namespace c2pi::pi {
 namespace {
-
-/// Same reference topology as service_test.cpp: conv/pool/ReLU/FC
-/// coverage, fast enough for MPC under a sanitizer.
-nn::Graph make_test_model(std::uint64_t seed = 7) {
-    Rng rng(seed);
-    nn::Graph m;
-    m.emplace<nn::Conv2d>(3, 6, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::MaxPool2d>(2, 2);
-    m.emplace<nn::Conv2d>(6, 8, ops::ConvSpec{.kernel = 3, .stride = 1, .pad = 1}, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::MaxPool2d>(2, 2);
-    m.emplace<nn::Flatten>();
-    m.emplace<nn::Linear>(8 * 4 * 4, 16, rng);
-    m.emplace<nn::Relu>();
-    m.emplace<nn::Linear>(16, 10, rng);
-    return m;
-}
-
-CompiledModel::Options full_pi_compile_options() {
-    CompiledModel::Options opts;
-    opts.input_chw = {3, 16, 16};
-    opts.he_ring_degree = 1024;
-    return opts;
-}
-
-CompiledModel::Options boundary_compile_options() {
-    CompiledModel::Options opts = full_pi_compile_options();
-    opts.boundary = nn::CutPoint{.linear_index = 2, .after_relu = true};
-    return opts;
-}
 
 std::vector<Tensor> make_inputs(std::size_t n) {
     std::vector<Tensor> inputs;
@@ -86,8 +54,8 @@ ClientRun run_weightless_client(std::uint16_t port, const SessionConfig& config,
 // ---------------------------------------------------- concurrent parity ---
 
 TEST(ServingPool, ConcurrentClientsBitIdenticalToSequentialAndStatsSum) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, boundary_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/false));
     const SessionConfig config{.noise_lambda = 0.05F, .seed = 42};
 
     constexpr std::size_t kClients = 3;
@@ -149,8 +117,8 @@ TEST(ServingPool, ConcurrentClientsBitIdenticalToSequentialAndStatsSum) {
 // ------------------------------------------------- cross-client batching ---
 
 TEST(ServingPool, WindowedTailCoalescesAcrossClientsBitIdentically) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, boundary_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/false));
     const SessionConfig config{.seed = 5};
 
     constexpr std::size_t kClients = 3;
@@ -202,8 +170,8 @@ TEST(ServingPool, WindowedTailCoalescesAcrossClientsBitIdentically) {
 }
 
 TEST(ServingPool, FullPiWithTailWindowBuildsNoBatcher) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, full_pi_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/true));
     const SessionConfig config{.seed = 9};
 
     constexpr std::size_t kClients = 2;
@@ -244,8 +212,8 @@ TEST(ServingPool, FullPiWithTailWindowBuildsNoBatcher) {
 // ------------------------------------------------------ typed rejection ---
 
 TEST(ServingPool, OverloadRejectsWithTypedBusyFrame) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, boundary_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/false));
     const SessionConfig config{.seed = 9};
 
     // One worker, zero queue: the second admission attempt must refuse.
@@ -283,8 +251,8 @@ TEST(ServingPool, OverloadRejectsWithTypedBusyFrame) {
 // ------------------------------------------------ slot release ordering ---
 
 TEST(ServingPool, SessionReportArrivesAfterItsSlotIsFreed) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, boundary_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/false));
     const SessionConfig config{.seed = 13};
     const auto inputs = make_inputs(2);
 
@@ -334,8 +302,8 @@ TEST(ServingPool, SessionReportArrivesAfterItsSlotIsFreed) {
 // ------------------------------------------------------- graceful drain ---
 
 TEST(ServingPool, DrainFinishesInFlightSessionsAndRefusesNewOnes) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, boundary_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/false));
     const SessionConfig config{.seed = 11};
 
     auto pool = std::make_unique<ServingPool>(
@@ -376,8 +344,8 @@ TEST(ServingPool, DrainFinishesInFlightSessionsAndRefusesNewOnes) {
 // ----------------------------------------------------------- validation ---
 
 TEST(ServingPool, RejectsBadOptionsAtTheApiBoundary) {
-    const nn::Graph model = make_test_model();
-    const CompiledModel compiled(model, boundary_compile_options());
+    const nn::Graph model = demo::make_demo_model();
+    const CompiledModel compiled(model, demo::demo_compile_options(/*full_pi=*/false));
     const SessionConfig config{};
     EXPECT_THROW(ServingPool(compiled, config, {.workers = -1}), Error);
     EXPECT_THROW(ServingPool(compiled, config, {.workers = 2000}), Error);
